@@ -5,6 +5,19 @@ generator i is present); the empty mask is the scalar unit.  Products carry
 signs from transposition counting and metric factors diag(+1^p, -1^q) on the
 contracted indices.  Coefficients are double precision, real or complex, and
 stored sparsely with exact zeros pruned.
+
+Products take one of two routes, chosen from n and the operands' term counts
+only.  The sparse route loops over term pairs in Python and serves every
+n <= MAX_GENERATORS.  The dense route serves n <= DENSE_MAX_N = 8 when
+|a|*|b| >= k * 2^n (k = 1 for the geometric product, 4 for the wedge, whose
+sparse loop skips overlapping pairs cheaply): it multiplies coefficient
+vectors through the signature's blade tables, out = va @ (vb[idx] * T) with
+idx[a, k] = a ^ k and T[a, k] the sign of e_a e_{a^k} (wedge: zero where the
+blades overlap).  The tables are built once per signature in one vectorised
+pass and stored as uint8 index and int8 signs, 3 * 4^n bytes: 192 KiB at
+n = 8.  DenseTable reads the same tables up to n = 10 (uint16 index, 4 MiB).
+The two routes agree to rounding on finite coefficients; the JSON decoder
+rejects non-finite ones.
 """
 
 from __future__ import annotations
@@ -19,6 +32,8 @@ import numpy as np
 from .errors import InvalidInput, SignatureMismatch
 
 MAX_GENERATORS = 16
+DENSE_MAX_N = 8  # products take the table route only up to here
+DENSE_TABLE_MAX_N = 10  # largest signature DenseTable accepts
 
 
 @dataclass(frozen=True)
@@ -95,13 +110,49 @@ def _grade(mask: int) -> int:
     return bin(mask).count("1")
 
 
-def _coerce(value, complex_ok: bool):
-    if isinstance(value, (complex, np.complexfloating)) and not isinstance(value, (float, int)):
-        c = complex(value)
-        if c.imag == 0.0 and not complex_ok:
-            return float(c.real)
-        return c
-    return float(value)
+@lru_cache(maxsize=64)
+def _blade_tables(sig: Signature) -> tuple:
+    """Gather index, sign table and wedge sign table of one signature.
+
+    idx[a, k] = a ^ k, G[a, k] = sign of e_a e_{a^k} (= G[a, k] e_k) and
+    W[a, k] = G[a, k] where a and a ^ k share no generator, else 0.  The sign's
+    parity, swaps(a, b) + |a & b & negative generators|, is bilinear over GF(2)
+    in (a, b): it equals |b & H(a)| with H(a) = (a >> 1) ^ (a >> 2) ^ ... ^
+    (a & negative generators), so one bitwise_count over the table gives it.
+    """
+    dim = 1 << sig.n
+    a = np.arange(dim, dtype=np.uint8 if sig.n <= 8 else np.uint16)
+    h = a & a.dtype.type((dim - 1) ^ ((1 << sig.p) - 1))
+    for s in range(1, sig.n):
+        h ^= a >> s
+    idx = a[:, None] ^ a
+    G = 1 - 2 * (np.bitwise_count(idx & h[:, None]) & 1).astype(np.int8)
+    W = np.where(a[:, None] & idx, np.int8(0), G)
+    for table in (idx, G, W):
+        table.flags.writeable = False
+    return idx, G, W
+
+
+_GATHER_ENTRIES = 1 << 14  # table entries per gather: bounds the temporary at 128 KiB of float64
+
+
+def _table_product(va: np.ndarray, vb: np.ndarray, idx: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """out[k] = sum_a va[a] vb[a ^ k] table[a, k], taken a block of rows a at a time."""
+    step = max(1, _GATHER_ENTRIES // len(vb))
+    out = None
+    for r in range(0, len(va), step):
+        x = vb[idx[r : r + step]]
+        x *= table[r : r + step]
+        part = va[r : r + step] @ x
+        out = part if out is None else out + part
+    return out
+
+
+def _to_vector(mv: "Multivector", dtype) -> np.ndarray:
+    v = np.zeros(1 << mv.sig.n, dtype=dtype)
+    count = len(mv.terms)
+    v[np.fromiter(mv.terms, np.intp, count)] = np.fromiter(mv.terms.values(), dtype, count)
+    return v
 
 
 class Multivector:
@@ -123,6 +174,15 @@ class Multivector:
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, sig: Signature, terms: dict, field: str) -> "Multivector":
+        """Wrap terms that are already valid: masks in range, nonzero Python floats/complexes."""
+        mv = object.__new__(cls)
+        object.__setattr__(mv, "sig", sig)
+        object.__setattr__(mv, "field", field)
+        object.__setattr__(mv, "terms", terms)
+        return mv
 
     def __setattr__(self, *args):
         raise AttributeError("Multivector is immutable")
@@ -318,9 +378,21 @@ def linear_combine(pairs: Iterable[tuple]) -> Multivector:
     return out
 
 
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    """Clifford product, blade-by-blade via the bitmask transposition rule."""
-    a._require_same(b)
+def _dense(a: Multivector, b: Multivector, multiple: int) -> bool:
+    """Route rule: tables when n <= DENSE_MAX_N and |a|*|b| >= multiple * 2^n."""
+    n = a.sig.n
+    return n <= DENSE_MAX_N and len(a.terms) * len(b.terms) >= multiple << n
+
+
+def _dense_apply(a: Multivector, b: Multivector, idx: np.ndarray, table: np.ndarray) -> Multivector:
+    field = "complex" if "complex" in (a.field, b.field) else "real"
+    dtype = np.complex128 if field == "complex" else np.float64
+    out = _table_product(_to_vector(a, dtype), _to_vector(b, dtype), idx, table)
+    nz = np.flatnonzero(out)
+    return Multivector._trusted(a.sig, dict(zip(nz.tolist(), out[nz].tolist())), field)
+
+
+def _sparse_product(a: Multivector, b: Multivector) -> Multivector:
     metric = a.sig.metric_tuple()
     field = "complex" if "complex" in (a.field, b.field) else "real"
     out: dict = {}
@@ -332,9 +404,7 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     return Multivector(a.sig, out, field)
 
 
-def wedge(a: Multivector, b: Multivector) -> Multivector:
-    """Exterior product."""
-    a._require_same(b)
+def _sparse_wedge(a: Multivector, b: Multivector) -> Multivector:
     field = "complex" if "complex" in (a.field, b.field) else "real"
     out: dict = {}
     for ma, ca in a.terms.items():
@@ -343,6 +413,24 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
             if coef:
                 out[mask] = out.get(mask, 0) + coef * ca * cb
     return Multivector(a.sig, out, field)
+
+
+def geometric_product(a: Multivector, b: Multivector) -> Multivector:
+    """Clifford product by the bitmask transposition rule (dense or sparse route)."""
+    a._require_same(b)
+    if _dense(a, b, 1):
+        idx, G, _ = _blade_tables(a.sig)
+        return _dense_apply(a, b, idx, G)
+    return _sparse_product(a, b)
+
+
+def wedge(a: Multivector, b: Multivector) -> Multivector:
+    """Exterior product (dense or sparse route)."""
+    a._require_same(b)
+    if _dense(a, b, 4):
+        idx, _, W = _blade_tables(a.sig)
+        return _dense_apply(a, b, idx, W)
+    return _sparse_wedge(a, b)
 
 
 def frame_contraction(i: int, b: Multivector) -> Multivector:
@@ -488,44 +576,30 @@ def approx_equal(a: Multivector, b: Multivector, tol: float = 1e-12) -> bool:
     return all(abs(a.coefficient(m) - b.coefficient(m)) <= tol * scale for m in masks)
 
 
-# -- dense fast path -----------------------------------------------------------
+# -- dense table view ----------------------------------------------------------
 
 
 class DenseTable:
-    """Precomputed full multiplication table for one signature (vectorized products)."""
+    """Full multiplication table of one signature: a view on its blade tables."""
 
     def __init__(self, sig: Signature):
-        if sig.n > 10:
-            raise InvalidInput("dense table limited to n <= 10")
+        if sig.n > DENSE_TABLE_MAX_N:
+            raise InvalidInput(f"dense table limited to n <= {DENSE_TABLE_MAX_N}")
         self.sig = sig
-        dim = 1 << sig.n
-        metric = sig.metric_tuple()
-        self.dim = dim
-        self.xor = np.zeros((dim, dim), dtype=np.int64)
-        self.sign = np.zeros((dim, dim), dtype=np.float64)
-        for ma in range(dim):
-            for mb in range(dim):
-                coef, mask = _blade_product(ma, mb, metric)
-                self.xor[ma, mb] = mask
-                self.sign[ma, mb] = coef
+        self.dim = 1 << sig.n
+        self._idx, self._sign, _ = _blade_tables(sig)
 
     def product(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=np.result_type(va, vb, np.float64))
-        prod = self.sign * np.outer(va, vb)
-        np.add.at(out, self.xor.ravel(), prod.ravel())
-        return out
+        return _table_product(va, vb, self._idx, self._sign)
 
     def to_vector(self, mv: Multivector) -> np.ndarray:
-        dtype = np.complex128 if mv.field == "complex" else np.float64
-        v = np.zeros(self.dim, dtype=dtype)
-        for m, c in mv.terms.items():
-            v[m] = c
-        return v
+        return _to_vector(mv, np.complex128 if mv.field == "complex" else np.float64)
 
     def to_multivector(self, v: np.ndarray, field: str | None = None) -> Multivector:
         if field is None:
             field = "complex" if np.iscomplexobj(v) else "real"
-        return Multivector(self.sig, {m: v[m] for m in range(self.dim) if v[m] != 0}, field)
+        nz = np.flatnonzero(v)
+        return Multivector(self.sig, dict(zip(nz.tolist(), v[nz].tolist())), field)
 
 
 @lru_cache(maxsize=8)

@@ -5,6 +5,8 @@ terms, shortest round-trip floats) and decoding validates shapes.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .algebra import Multivector, Signature
@@ -49,11 +51,18 @@ def multivector_from_json(doc: dict, sig: Signature | None = None) -> Multivecto
     parsed = Signature(p, q)
     if sig is not None and parsed != sig:
         raise InvalidInput(f"document signature {parsed} does not match expected {sig}")
+    if not isinstance(raw_terms, list) or not all(isinstance(e, dict) for e in raw_terms):
+        raise InvalidInput("multivector terms must be a list of objects")
     terms = {}
     for entry in raw_terms:
         mask = _indices_to_mask(entry.get("indices", []), parsed.n)
-        re = float(entry.get("re", 0.0))
-        im = float(entry.get("im", 0.0))
+        try:
+            re = float(entry.get("re", 0.0))
+            im = float(entry.get("im", 0.0))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInput(f"malformed coefficient: {exc}") from None
+        if not cmath.isfinite(complex(re, im)):
+            raise InvalidInput(f"non-finite coefficient on blade {_mask_to_indices(mask)}")
         if field == "real":
             if im:
                 raise InvalidInput("real multivector with imaginary part")

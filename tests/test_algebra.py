@@ -333,3 +333,21 @@ class TestApproxEqualAndJson:
             multivector_from_json({"p": 2, "q": 0, "terms": [{"indices": [2, 1], "re": 1.0}]})
         with pytest.raises(InvalidInput):
             multivector_from_json({"q": 0, "terms": []})
+        for terms in (5, [1], [[1]]):
+            with pytest.raises(InvalidInput):
+                multivector_from_json({"p": 2, "q": 0, "terms": terms})
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            {"indices": [1], "re": float("nan")},
+            {"indices": [1], "re": float("-inf")},
+            {"indices": [1, 2], "re": 1.0, "im": float("inf")},
+            {"indices": [2], "re": "one"},
+            {"indices": [2], "re": 10**400},
+        ],
+    )
+    def test_json_rejects_bad_coefficients(self, term):
+        doc = {"p": 2, "q": 0, "field": "complex" if "im" in term else "real", "terms": [term]}
+        with pytest.raises(InvalidInput):
+            multivector_from_json(doc)

@@ -75,6 +75,14 @@ class TestProduct:
         code, out, err = run("product", "--sig", "4,2", str(bad), fb)
         assert code == 1 and out == "" and err != ""
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_coefficient_exits_1(self, run, tmp_path, bad):
+        fa = tmp_path / "a.json"
+        fa.write_text('{"p": 2, "q": 0, "terms": [{"indices": [1], "re": %s}]}' % bad)
+        fb = write_json(tmp_path / "b.json", {"p": 2, "q": 0, "terms": [{"indices": [2], "re": 1.0}]})
+        code, out, err = run("product", "--sig", "2,0", str(fa), fb)
+        assert code == 1 and out == "" and "non-finite" in err
+
     def test_signature_mismatch_exits_1(self, run, tmp_path):
         fa = write_json(tmp_path / "a.json", GOLDEN_A)
         fb = write_json(tmp_path / "b.json", GOLDEN_B)

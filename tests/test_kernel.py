@@ -1,0 +1,168 @@
+"""The per-signature blade tables and the two product routes built on them.
+
+The tables are checked against the scalar bitmask rule, the dense route
+against the sparse loop and an index-list wedge, and the signatures above the
+table limit against the contracted-wedge oracle.
+"""
+
+import numpy as np
+import pytest
+
+from spinorlab.algebra import (
+    DENSE_MAX_N,
+    DenseTable,
+    Multivector,
+    Signature,
+    _blade_product,
+    _blade_tables,
+    _blade_wedge,
+    _dense,
+    _dense_apply,
+    _sparse_product,
+    _sparse_wedge,
+    approx_equal,
+    dense_table,
+    geometric_product,
+    geometric_product_contracted,
+    wedge,
+)
+from spinorlab.errors import InvalidInput
+
+TABLE_SIGS = [Signature(p, n - p) for n in range(7) for p in range(n + 1)] + [
+    Signature(8, 0),
+    Signature(4, 4),
+    Signature(0, 8),
+]
+
+
+def random_terms(sig, rng, count, complex_coeffs=False, max_grade=None):
+    masks = [m for m in range(1 << sig.n) if max_grade is None or bin(m).count("1") <= max_grade]
+    chosen = rng.choice(len(masks), size=count, replace=False)
+    terms = {}
+    for i in chosen:
+        terms[masks[i]] = rng.normal() + (1j * rng.normal() if complex_coeffs else 0.0)
+    return Multivector(sig, terms, "complex" if complex_coeffs else "real")
+
+
+def test_tables_match_scalar_blade_rule():
+    for sig in TABLE_SIGS:
+        idx, G, W = _blade_tables(sig)
+        metric = sig.metric_tuple()
+        dim = 1 << sig.n
+        ref_idx, ref_g, ref_w = [], [], []
+        for a in range(dim):
+            for k in range(dim):
+                b = a ^ k
+                coef, mask = _blade_product(a, b, metric)
+                assert mask == k
+                ref_idx.append(b)
+                ref_g.append(coef)
+                ref_w.append(_blade_wedge(a, b)[0])
+        shape = (dim, dim)
+        assert np.array_equal(idx, np.reshape(ref_idx, shape)), sig
+        assert np.array_equal(G, np.reshape(ref_g, shape)), sig
+        assert np.array_equal(W, np.reshape(ref_w, shape)), sig
+        assert G.dtype == W.dtype == np.int8 and idx.dtype == np.uint8, sig
+
+
+@pytest.mark.parametrize("complex_coeffs", [False, True])
+def test_dense_and_sparse_routes_agree(complex_coeffs):
+    rng = np.random.default_rng(21)
+    for sig in (Signature(2, 1), Signature(3, 3), Signature(1, 5), Signature(4, 3), Signature(5, 3)):
+        dim = 1 << sig.n
+        idx, G, W = _blade_tables(sig)
+        for multiple, table, sparse, public in ((1, G, _sparse_product, geometric_product), (4, W, _sparse_wedge, wedge)):
+            switch = multiple * dim
+            # term counts just below, at and above the switch point
+            for count_a, count_b in ((1, switch - 1), (2, switch // 2), (4, switch // 2)):
+                count_a, count_b = min(count_a, dim), min(count_b, dim)
+                a = random_terms(sig, rng, count_a, complex_coeffs)
+                b = random_terms(sig, rng, count_b, complex_coeffs)
+                dense, slow = _dense_apply(a, b, idx, table), sparse(a, b)
+                assert approx_equal(dense, slow, 1e-12), (sig, count_a, count_b)
+                assert dense.field == slow.field
+                routed = _dense(a, b, multiple)
+                assert routed == (count_a * count_b >= switch)
+                assert public(a, b) == (dense if routed else slow)
+
+
+def _wedge_oracle(a, b):
+    """Exterior product by index lists and their permutation parity."""
+    out = {}
+    for ma, ca in a.terms.items():
+        ia = [i for i in range(a.sig.n) if ma >> i & 1]
+        for mb, cb in b.terms.items():
+            if ma & mb:
+                continue
+            ib = [i for i in range(b.sig.n) if mb >> i & 1]
+            inversions = sum(1 for x in ia for y in ib if x > y)
+            out[ma | mb] = out.get(ma | mb, 0.0) + (-1) ** inversions * ca * cb
+    return out
+
+
+def test_dense_wedge_matches_permutation_parity():
+    rng = np.random.default_rng(22)
+    for sig, count in ((Signature(3, 3), 40), (Signature(0, 6), 64), (Signature(8, 0), 128)):
+        a, b = random_terms(sig, rng, count), random_terms(sig, rng, count)
+        assert _dense(a, b, 4)
+        got = wedge(a, b)
+        want = _wedge_oracle(a, b)
+        scale = max(1.0, max(abs(c) for c in want.values()))
+        for mask in set(got.terms) | set(want):
+            assert abs(got.coefficient(mask) - want.get(mask, 0.0)) <= 1e-12 * scale, (sig, mask)
+
+
+def test_dense_table_matches_geometric_product():
+    rng = np.random.default_rng(23)
+    sig = Signature(8, 0)
+    table = DenseTable(sig)
+    for complex_coeffs in (False, True):
+        a = random_terms(sig, rng, 256, complex_coeffs)
+        b = random_terms(sig, rng, 256, complex_coeffs)
+        got = table.to_multivector(table.product(table.to_vector(a), table.to_vector(b)))
+        assert got == geometric_product(a, b)
+        assert approx_equal(got, _sparse_product(a, b), 1e-12)
+
+
+@pytest.mark.parametrize("p,q", [(5, 4), (5, 5), (6, 6), (8, 8)])
+def test_above_table_limit_products_are_sparse(p, q):
+    """n > DENSE_MAX_N: products take the sparse loop and build no table."""
+    sig = Signature(p, q)
+    assert sig.n > DENSE_MAX_N
+    rng = np.random.default_rng(24 + sig.n)
+    before = _blade_tables.cache_info()
+    for count in (3, 6):
+        a = random_terms(sig, rng, count, max_grade=4)
+        b = random_terms(sig, rng, count, complex_coeffs=True, max_grade=4)
+        assert not _dense(a, b, 1)
+        assert approx_equal(geometric_product(a, b), geometric_product_contracted(a, b), 1e-12)
+    after = _blade_tables.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_contracted_oracle_reads_no_table():
+    rng = np.random.default_rng(25)
+    sig = Signature(3, 2)
+    a, b = random_terms(sig, rng, 32), random_terms(sig, rng, 32)
+    assert _dense(a, b, 1)
+    before = _blade_tables.cache_info()
+    oracle = geometric_product_contracted(a, b)
+    after = _blade_tables.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert approx_equal(geometric_product(a, b), oracle, 1e-12)
+
+
+def test_dense_table_limit():
+    for p, q in ((6, 5), (8, 8), (16, 0)):
+        with pytest.raises(InvalidInput):
+            DenseTable(Signature(p, q))
+        with pytest.raises(InvalidInput):
+            dense_table(Signature(p, q))
+    # n = 10 is the largest table; it needs a 16-bit index
+    sig = Signature(5, 5)
+    table = DenseTable(sig)
+    assert table._idx.dtype == np.uint16
+    rng = np.random.default_rng(26)
+    a, b = random_terms(sig, rng, 5), random_terms(sig, rng, 5)
+    got = table.to_multivector(table.product(table.to_vector(a), table.to_vector(b)))
+    assert approx_equal(got, geometric_product(a, b), 1e-12)
