@@ -106,6 +106,13 @@ def _blade_contract(i: int, mask: int) -> tuple[int, int]:
     return (-1 if below & 1 else 1), mask ^ bit
 
 
+def permutation_sign(perm) -> int:
+    """+1 for an even permutation of 0..k-1, -1 for an odd one (parity of the inversions)."""
+    perm = tuple(perm)
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+    return -1 if inversions & 1 else 1
+
+
 def _grade(mask: int) -> int:
     return bin(mask).count("1")
 
@@ -199,6 +206,23 @@ class Multivector:
         val = value if field == "complex" else float(np.real(value))
         return Multivector(sig, {0: val}, field)
 
+    @classmethod
+    def from_vector(cls, sig: Signature, v: np.ndarray, field: str | None = None) -> "Multivector":
+        """Multivector of a dense coefficient vector indexed by blade mask; zeros are pruned."""
+        v = np.asarray(v)
+        if v.shape != (1 << sig.n,):
+            raise InvalidInput(f"coefficient vector of {sig} must have {1 << sig.n} entries")
+        is_complex = v.dtype.kind == "c"
+        if field is None:
+            field = "complex" if is_complex else "real"
+        elif field == "real" and is_complex:
+            raise InvalidInput("complex coefficients for a real multivector")
+        dtype = np.complex128 if field == "complex" else np.float64
+        if v.dtype != dtype:
+            v = v.astype(dtype)
+        nz = np.flatnonzero(v)
+        return cls._trusted(sig, dict(zip(nz.tolist(), v[nz].tolist())), field)
+
     # -- inspection ---------------------------------------------------------
 
     def coefficient(self, mask: int):
@@ -215,6 +239,10 @@ class Multivector:
 
     def norm_inf(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
+
+    def to_vector(self) -> np.ndarray:
+        """Dense coefficient vector indexed by blade mask (complex128 for the complex field)."""
+        return _to_vector(self, np.complex128 if self.field == "complex" else np.float64)
 
     def is_homogeneous(self) -> bool:
         return len(self.grades()) <= 1
@@ -593,13 +621,10 @@ class DenseTable:
         return _table_product(va, vb, self._idx, self._sign)
 
     def to_vector(self, mv: Multivector) -> np.ndarray:
-        return _to_vector(mv, np.complex128 if mv.field == "complex" else np.float64)
+        return mv.to_vector()
 
     def to_multivector(self, v: np.ndarray, field: str | None = None) -> Multivector:
-        if field is None:
-            field = "complex" if np.iscomplexobj(v) else "real"
-        nz = np.flatnonzero(v)
-        return Multivector(self.sig, dict(zip(nz.tolist(), v[nz].tolist())), field)
+        return Multivector.from_vector(self.sig, v, field)
 
 
 @lru_cache(maxsize=8)

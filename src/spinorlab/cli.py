@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -35,8 +36,8 @@ def _tolerance() -> float:
         val = float(raw)
     except ValueError:
         raise InvalidInput(f"CLIF_TOL is not a number: {raw!r}") from None
-    if val <= 0:
-        raise InvalidInput("CLIF_TOL must be positive")
+    if not math.isfinite(val) or val <= 0:
+        raise InvalidInput("CLIF_TOL must be a positive finite number")
     return val
 
 
@@ -160,6 +161,12 @@ def cmd_rep(args) -> int:
 # -- verify suites -----------------------------------------------------------------
 
 
+def _worse(worst: float, r) -> float:
+    """max(worst, r) that keeps a NaN: once a residual is NaN the suite's worst stays NaN."""
+    r = float(r)
+    return r if r > worst or math.isnan(r) else worst
+
+
 def _suite_volume(trials: int, rng, tol: float) -> float:
     worst = 0.0
     for p in range(9):
@@ -167,7 +174,7 @@ def _suite_volume(trials: int, rng, tol: float) -> float:
             sig = Signature(p, q)
             vf = volume_form(sig)
             square = geometric_product(vf.tau, vf.tau)
-            worst = max(worst, (square - Multivector.scalar(sig, volume_square_sign(sig))).norm_inf())
+            worst = _worse(worst, (square - Multivector.scalar(sig, volume_square_sign(sig))).norm_inf())
     for _ in range(trials):
         p = int(rng.integers(0, 7))
         q = int(rng.integers(0, 7 - p))
@@ -188,7 +195,7 @@ def _suite_volume(trials: int, rng, tol: float) -> float:
         direct = geometric_product(alpha, tau)
         sign = -1.0 if (k // 2) % 2 else 1.0
         via = contracted_wedge(alpha, tau, k) * (sign / factorial(k))
-        worst = max(worst, (direct - via).norm_inf() / max(1.0, alpha.norm_inf()))
+        worst = _worse(worst, (direct - via).norm_inf() / max(1.0, alpha.norm_inf()))
     return worst
 
 
@@ -197,7 +204,7 @@ def _suite_fpk(trials: int, rng, tol: float) -> float:
     for _ in range(trials):
         comps = rng.normal(size=4) + 1j * rng.normal(size=4)
         report = fpk_residuals(bilinears(DiracSpinor("weyl", tuple(comps))))
-        worst = max(worst, report.max_residual())
+        worst = _worse(worst, report.max_residual())
     return worst
 
 
@@ -205,7 +212,7 @@ def _suite_fierz(trials: int, rng, tol: float) -> float:
     worst = 0.0
     for _ in range(trials):
         quad = [rng.normal(size=16) for _ in range(4)]
-        worst = max(worst, fierz_identity_residual(*quad))
+        worst = _worse(worst, fierz_identity_residual(*quad))
     return worst
 
 
@@ -226,11 +233,11 @@ def _suite_truncated(trials: int, rng, tol: float) -> float:
         for sign in (1, -1):
             # round trip Omega_L -> P_pm Omega -> Omega_L
             back = truncate(projector_pm(al, sign), "lower") * 2.0
-            worst = max(worst, (back - al).norm_inf() / max(1.0, al.norm_inf()))
+            worst = _worse(worst, (back - al).norm_inf() / max(1.0, al.norm_inf()))
             # multiplicativity through the isomorphism
             lhs = projector_pm(truncated_product(al, bl, sign), sign)
             rhs = geometric_product(projector_pm(al, sign), projector_pm(bl, sign))
-            worst = max(worst, (lhs - rhs).norm_inf() / max(1.0, lhs.norm_inf()))
+            worst = _worse(worst, (lhs - rhs).norm_inf() / max(1.0, lhs.norm_inf()))
     return worst
 
 
@@ -245,18 +252,18 @@ def _suite_groups(trials: int, rng, tol: float) -> float:
                 terms[(1 << (i - 1)) | (1 << (j - 1))] = rng.normal()
         R = rotor_exp(Multivector(sig, terms))
         M = versor_to_matrix(R)
-        worst = max(worst, float(np.abs(M.T @ G @ M - G).max()))
-        worst = max(worst, float(np.abs(versor_to_matrix(R * -1.0) - M).max()))
+        worst = _worse(worst, float(np.abs(M.T @ G @ M - G).max()))
+        worst = _worse(worst, float(np.abs(versor_to_matrix(R * -1.0) - M).max()))
         v = Multivector(sig, {1: rng.normal(), 2: rng.normal(), 4: rng.normal()})
         R2 = rotor_exp(Multivector(sig, {3: rng.normal()}))
-        worst = max(
+        worst = _worse(
             worst,
             float(
                 np.abs(versor_to_matrix(geometric_product(R, R2)) - M @ versor_to_matrix(R2)).max()
             ),
         )
         if membership(R).verdict != "spin_plus":
-            worst = max(worst, 1.0)
+            worst = _worse(worst, 1.0)
     return worst
 
 

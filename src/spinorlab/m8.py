@@ -8,29 +8,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
-from .algebra import Multivector, Signature, basis_blade, dense_table
+from .algebra import Multivector, Signature, basis_blade, dense_table, permutation_sign
 from .errors import InvalidInput, UnsupportedSignature
-from .matrices import CL8_GAMMAS
+from .matrices import builtin_gammas
 from .structure import hodge
 
 SIG80 = Signature(8, 0)
 DIM = 16
 SURVIVING_GRADES = (0, 1, 4, 5, 8)
+CL8 = builtin_gammas("cl8")  # its (256, 16, 16) blade stack is built on first use
+
+_GRADE_MASKS = [np.flatnonzero(np.bitwise_count(np.arange(1 << 8)) == k) for k in range(9)]
+# Flux generators in the order of the constraint's parameters: dDelta_1..8, the
+# 70 ascending four-form indices, kappa.
+_FOUR_FORMS = list(combinations(range(1, 9), 4))
+_FLUX_MASKS = np.array(
+    [1 << m for m in range(8)] + [sum(1 << (i - 1) for i in idx) for idx in _FOUR_FORMS] + [0xFF]
+)
 
 
 @lru_cache(maxsize=256)
 def gamma_blade(mask: int) -> np.ndarray:
-    """Matrix of the (8,0) blade e^{mask}: ascending product of the gamma set."""
-    out = np.eye(DIM)
-    for i in range(8):
-        if mask >> i & 1:
-            out = out @ CL8_GAMMAS[i]
-    out.setflags(write=False)
-    return out
+    """Matrix of the (8,0) blade e^{mask}: ascending product of the gamma set (read-only)."""
+    return CL8.blades[mask]
 
 
 def chirality() -> np.ndarray:
@@ -55,36 +59,23 @@ def gen_bilinear(x, y, k: int) -> Multivector:
     """Grade-k covariant: B(x, gamma_M y) on each ascending blade M of size k."""
     if not 0 <= k <= 8:
         raise InvalidInput("grade must lie in 0..8")
-    xv, yv = _as_spinor(x), _as_spinor(y)
-    terms = {}
-    for idx in combinations(range(8), k):
-        mask = sum(1 << i for i in idx)
-        c = float(xv @ gamma_blade(mask) @ yv)
-        if c != 0.0:
-            terms[mask] = c
-    return Multivector(SIG80, terms)
+    masks = _GRADE_MASKS[k]
+    coeffs = np.zeros(1 << 8)
+    coeffs[masks] = CL8.pairings(_as_spinor(x), _as_spinor(y), masks)
+    return Multivector.from_vector(SIG80, coeffs)
 
 
 def fierz_polyform(x, y) -> Multivector:
     """Polyform (1/16) sum_k E^{(k)}_{x,y}; quantizes to the rank-one map psi -> B(psi,y) x."""
-    xv, yv = _as_spinor(x), _as_spinor(y)
-    terms = {}
-    for mask in range(1 << 8):
-        c = float(xv @ gamma_blade(mask) @ yv) / 16.0
-        if c != 0.0:
-            terms[mask] = c
-    return Multivector(SIG80, terms)
+    coeffs = CL8.pairings(_as_spinor(x), _as_spinor(y)) / 16.0
+    return Multivector.from_vector(SIG80, coeffs)
 
 
 def quantize(alpha: Multivector) -> np.ndarray:
     """Algebra morphism Cl(8,0) -> Mat(16,R) (complex output for complex input)."""
     if alpha.sig != SIG80:
         raise InvalidInput("expected a multivector over Cl(8,0)")
-    dtype = complex if alpha.field == "complex" else float
-    out = np.zeros((DIM, DIM), dtype=dtype)
-    for mask, c in alpha.terms.items():
-        out += c * gamma_blade(mask)
-    return out
+    return CL8.quantize(alpha.to_vector())
 
 
 def dequantize(T: np.ndarray, sig: Signature = SIG80) -> Multivector:
@@ -98,15 +89,7 @@ def dequantize(T: np.ndarray, sig: Signature = SIG80) -> Multivector:
     T = np.asarray(T)
     if T.shape != (DIM, DIM):
         raise InvalidInput("expected a 16x16 matrix")
-    is_complex = np.iscomplexobj(T)
-    terms = {}
-    for mask in range(1 << 8):
-        k = bin(mask).count("1")
-        inv_sign = -1.0 if (k * (k - 1) // 2) % 2 else 1.0  # gamma_M^-1 = rev sign * gamma_M
-        c = np.trace(T @ gamma_blade(mask)) * inv_sign / DIM
-        if c != 0:
-            terms[mask] = complex(c) if is_complex else float(c)
-    return Multivector(SIG80, terms, "complex" if is_complex else "real")
+    return Multivector.from_vector(SIG80, CL8.dequantize(T))
 
 
 def rank_one_matrix(x, y) -> np.ndarray:
@@ -143,16 +126,11 @@ def complexified_bilinears(xR, xI, k: int) -> Multivector:
     """
     if not 0 <= k <= 8:
         raise InvalidInput("grade must lie in 0..8")
-    xr, xi = _as_spinor(xR), _as_spinor(xI)
-    terms = {}
-    for idx in combinations(range(8), k):
-        mask = sum(1 << i for i in idx)
-        gm = gamma_blade(mask)
-        re = float(xr @ gm @ xr) - float(xi @ gm @ xi)
-        im = float(xr @ gm @ xi) + float(xi @ gm @ xr)
-        if re != 0.0 or im != 0.0:
-            terms[mask] = complex(re, im)
-    return Multivector(SIG80, terms, "complex")
+    z = _as_spinor(xR) + 1j * _as_spinor(xI)
+    masks = _GRADE_MASKS[k]
+    coeffs = np.zeros(1 << 8, dtype=np.complex128)
+    coeffs[masks] = CL8.pairings(z, z, masks)  # B(z, gamma z) = the real and imaginary parts above
+    return Multivector.from_vector(SIG80, coeffs)
 
 
 @dataclass(frozen=True)
@@ -224,17 +202,10 @@ def flux_from_tensor(F4: np.ndarray, **kwargs) -> FluxData:
         coeffs[tuple(i + 1 for i in idx)] = float(F4[idx])
     # antisymmetry: every permutation must match its signed ascending value
     probe = np.zeros_like(F4)
-    from itertools import permutations
-
     for idx, val in coeffs.items():
         base = tuple(i - 1 for i in idx)
         for perm in permutations(range(4)):
-            sign = 1
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    if perm[a] > perm[b]:
-                        sign = -sign
-            probe[tuple(base[p] for p in perm)] = sign * val
+            probe[tuple(base[p] for p in perm)] = permutation_sign(perm) * val
     if not np.allclose(probe, F4, atol=1e-12 * max(1.0, np.abs(F4).max())):
         raise InvalidInput("4-form tensor is not antisymmetric")
     return FluxData(F=coeffs, **kwargs)
@@ -255,18 +226,17 @@ def build_constraint_operator(flux: FluxData) -> ConstraintOperator:
     """
     if not isinstance(flux, FluxData):
         raise InvalidInput("expected FluxData")
-    Q = np.zeros((DIM, DIM))
-    for m in range(8):
-        if flux.dDelta[m]:
-            Q += 0.5 * flux.dDelta[m] * gamma_blade(1 << m)
-    for idx, val in flux.F.items():
-        mask = sum(1 << (i - 1) for i in idx)
-        Q -= (val / 12.0) * gamma_blade(mask)
+    coeffs = np.zeros(1 << 8)
+    coeffs[_FLUX_MASKS] = (
+        [0.5 * d for d in flux.dDelta]
+        + [-flux.F.get(idx, 0.0) / 12.0 for idx in _FOUR_FORMS]
+        + [-flux.kappa]
+    )
+    Q = CL8.quantize(coeffs)
     for p in range(8):
         if flux.f[p]:
             dual = hodge(basis_blade(SIG80, [p + 1]))
             Q -= (flux.f[p] / 6.0) * quantize(dual)
-    Q -= flux.kappa * chirality()
     return ConstraintOperator(Q, flux)
 
 
@@ -310,29 +280,11 @@ def flux_with_kernel_spinor(x, rng=None) -> FluxData:
         raise InvalidInput("seed spinor must be nonzero")
     if rng is None:
         rng = np.random.default_rng(0)
-    columns = []
-    generators = []
-    for m in range(8):
-        generators.append(("dDelta", m, 0.5 * gamma_blade(1 << m)))
-    for idx in combinations(range(1, 9), 4):
-        mask = sum(1 << (i - 1) for i in idx)
-        generators.append(("F", idx, -gamma_blade(mask) / 12.0))
-    generators.append(("kappa", None, -chirality()))
-    for _, _, gmat in generators:
-        columns.append(gmat @ xv)
-    A = np.array(columns).T  # 16 x 79
+    scale = np.array([0.5] * 8 + [-1.0 / 12.0] * len(_FOUR_FORMS) + [-1.0])
+    A = (CL8.blades[_FLUX_MASKS] @ xv).T * scale  # 16 x 79: column j is generator j applied to x
     _, s, vt = np.linalg.svd(A)
     null = vt[len(s[s > 1e-10 * s[0]]):].T
     weights = null @ rng.normal(size=null.shape[1])
     weights /= np.linalg.norm(weights)
-    dDelta = [0.0] * 8
-    Fcoef = {}
-    kappa = 0.0
-    for (kind, key, _), w in zip(generators, weights):
-        if kind == "dDelta":
-            dDelta[key] = float(w)
-        elif kind == "F":
-            Fcoef[key] = float(w)
-        else:
-            kappa = float(w)
-    return FluxData(f=(0.0,) * 8, F=Fcoef, dDelta=tuple(dDelta), kappa=kappa)
+    w = weights.tolist()
+    return FluxData(f=(0.0,) * 8, F=dict(zip(_FOUR_FORMS, w[8:-1])), dDelta=tuple(w[:8]), kappa=w[-1])

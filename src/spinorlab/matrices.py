@@ -10,6 +10,7 @@ living inside the algebra itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,25 +70,76 @@ CL8_GAMMAS = [_tensor_word(w) for w in _CL8_WORDS]
 
 @dataclass(frozen=True)
 class RepBundle:
+    """Gamma matrices of one signature plus, built on first use, the stacked blade tensor.
+
+    `blades[mask]` is the ascending product of the generators in mask; it is
+    read-only and built once per bundle, so quantization, dequantization and the
+    spinor bilinears are single contractions over it.
+    """
+
     sig: Signature
     dim: int
     field_tag: str
     gammas: list = field(repr=False, default_factory=list)
 
+    @cached_property
+    def blades(self) -> np.ndarray:
+        """(2^n, dim, dim) stack, doubled once per generator: for m < 2^i,
+        blades[m | 2^i] = blades[m] gamma_{i+1}, the ascending product."""
+        if not self.gammas:
+            raise InvalidInput("bundle has no gamma matrices")
+        stack = np.eye(self.dim, dtype=np.result_type(*self.gammas))[None]
+        for g in self.gammas:
+            stack = np.concatenate((stack, stack @ g))
+        stack.flags.writeable = False
+        return stack
+
+    @cached_property
+    def blade_squares(self) -> np.ndarray:
+        """e_M^2 for every mask: the reversion sign of |M| times the generator squares in M."""
+        masks = np.arange(1 << self.sig.n)
+        k = np.bitwise_count(masks)
+        negative = np.bitwise_count(masks >> self.sig.p)
+        return 1.0 - 2.0 * ((k * (k - 1) // 2 + negative) & 1)
+
     def gamma_blade(self, mask: int) -> np.ndarray:
-        """Matrix of the blade with the given index mask (ascending product)."""
-        out = np.eye(self.dim, dtype=self.gammas[0].dtype)
-        i = 0
-        while mask:
-            if mask & 1:
-                out = out @ self.gammas[i]
-            mask >>= 1
-            i += 1
-        return out
+        """Matrix of the blade with the given index mask (ascending product), read-only."""
+        return self.blades[mask]
 
     @property
     def chirality(self) -> np.ndarray:
         return self.gamma_blade((1 << self.sig.n) - 1)
+
+    def pairings(self, x: np.ndarray, y: np.ndarray, masks=slice(None)) -> np.ndarray:
+        """x^T blades[M] y for each listed mask, as (blades[masks] @ y) @ x (no conjugation)."""
+        blades = self.blades[masks]
+        gy = _matvec(blades.reshape(-1, self.dim), y).reshape(len(blades), self.dim)
+        return gy @ x
+
+    def quantize(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_M coeffs[M] blades[M] for a coefficient vector indexed by blade mask."""
+        rows = self.blades.reshape(len(self.blades), -1)
+        return _matvec(rows.T, np.asarray(coeffs)).reshape(self.dim, self.dim)
+
+    def dequantize(self, T: np.ndarray) -> np.ndarray:
+        """Coefficients of T on the blades by the trace pairing, tr(T blades[M]) / (dim e_M^2).
+
+        Inverts quantize when the bundle is faithful and irreducible (dim^2 = 2^n).
+        """
+        T = np.asarray(T)
+        if self.dim * self.dim != len(self.blades) or T.shape != (self.dim, self.dim):
+            raise InvalidInput(f"trace-pairing inverse needs a {self.dim}x{self.dim} matrix "
+                               f"and dim^2 = 2^n blades")
+        rows = self.blades.reshape(len(self.blades), -1)
+        return _matvec(rows, T.T.ravel()) / (self.dim * self.blade_squares)
+
+
+def _matvec(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """rows @ v; a real `rows` meets a complex v as two real columns, not as a complex copy."""
+    if np.iscomplexobj(v) and not np.iscomplexobj(rows):
+        pairs = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+        return (rows @ pairs).view(np.complex128).ravel()
+    return rows @ v
 
 
 def builtin_gammas(name: str) -> RepBundle:

@@ -10,13 +10,23 @@ of basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
-from .algebra import Multivector, Signature, basis_blade, geometric_product, wedge
+from .algebra import (
+    Multivector,
+    Signature,
+    basis_blade,
+    geometric_product,
+    permutation_sign,
+    wedge,
+)
 from .errors import InconsistentBilinears, InvalidInput, ReconstructionFailed
-from .matrices import DIRAC_GAMMAS, WEYL_GAMMAS, similarity_matrix
+from .matrices import RepBundle, builtin_gammas, similarity_matrix
 
 SIG13 = Signature(1, 3)
 S_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -24,14 +34,34 @@ _RAISE = (1.0, -1.0, -1.0, -1.0)
 _TAU = basis_blade(SIG13, [1, 2, 3, 4])
 _ONE = Multivector.scalar(SIG13, 1.0)
 
-_BUNDLES = {"weyl": WEYL_GAMMAS, "dirac": DIRAC_GAMMAS}
+_BUNDLES = {name: builtin_gammas(name) for name in ("weyl", "dirac")}
 
 
-def _gammas(rep: str) -> list:
+def _bundle(rep: str) -> RepBundle:
     try:
         return _BUNDLES[rep]
     except KeyError:
         raise InvalidInput(f"unknown representation {rep!r}") from None
+
+
+def _gammas(rep: str) -> list:
+    return _bundle(rep).gammas
+
+
+@lru_cache(maxsize=None)
+def _probes(rep: str) -> np.ndarray:
+    """(16, 4, 4) probes P whose expectations psibar P psi are sigma, J_mu, S_mu_nu, K_mu, omega."""
+    blades = _bundle(rep).blades
+    tau = blades[0b1111]
+    stack = np.stack(
+        [blades[0]]
+        + [blades[1 << m] for m in range(4)]
+        + [0.5j * blades[(1 << m) | (1 << n)] for m, n in S_PAIRS]
+        + [1j * tau @ blades[1 << m] for m in range(4)]
+        + [tau]
+    )
+    stack.flags.writeable = False
+    return stack
 
 
 @dataclass(frozen=True)
@@ -75,6 +105,8 @@ class BilinearSet:
         object.__setattr__(self, "K", tuple(float(x) for x in self.K))
         if len(self.J) != 4 or len(self.K) != 4 or len(self.S) != 6:
             raise InvalidInput("bilinear blocks must have sizes 4/6/4")
+        if not all(map(math.isfinite, (self.sigma, self.omega, *self.J, *self.S, *self.K))):
+            raise InvalidInput("non-finite bilinear")
 
     def scale(self) -> float:
         return (
@@ -88,20 +120,14 @@ class BilinearSet:
 
 def bilinears(psi: DiracSpinor, tol: float = 1e-9) -> BilinearSet:
     """The 16 covariants of Eq-style sesquilinear forms, in psi's own representation."""
-    G = _gammas(psi.rep)
     v = psi.vector
-    g0123 = G[0] @ G[1] @ G[2] @ G[3]
-    bar = v.conj() @ G[0]
-    raw = [bar @ v]
-    raw += [bar @ G[m] @ v for m in range(4)]
-    raw += [0.5j * (bar @ G[m] @ G[n] @ v) for m, n in S_PAIRS]
-    raw += [1j * (bar @ g0123 @ G[m] @ v) for m in range(4)]
-    raw.append(bar @ g0123 @ v)
+    bar = v.conj() @ _gammas(psi.rep)[0]
+    raw = (_probes(psi.rep) @ v) @ bar  # bar P_i v for the 16 probes, as in RepBundle.pairings
     scale = 1.0 + psi.norm_squared()
-    worst_imag = max(abs(complex(x).imag) for x in raw)
+    worst_imag = float(np.abs(raw.imag).max())
     if worst_imag > tol * scale:
         raise InvalidInput(f"bilinears not real (imag {worst_imag:.2e}); broken gamma set?")
-    vals = [float(complex(x).real) for x in raw]
+    vals = raw.real.tolist()
     return BilinearSet(vals[0], tuple(vals[1:5]), tuple(vals[5:11]), tuple(vals[11:15]), vals[15])
 
 
@@ -171,14 +197,8 @@ def _aggregate_forms(B: BilinearSet) -> tuple:
 
 
 _EPS = np.zeros((4, 4, 4, 4))
-for _perm in __import__("itertools").permutations(range(4)):
-    _s = 1
-    _pl = list(_perm)
-    for _i in range(4):
-        for _j in range(_i + 1, 4):
-            if _pl[_i] > _pl[_j]:
-                _s = -_s
-    _EPS[_perm] = _s
+for _perm in permutations(range(4)):
+    _EPS[_perm] = permutation_sign(_perm)
 
 
 @dataclass(frozen=True)
@@ -252,33 +272,12 @@ def quantize_minkowski(mv: Multivector, rep: str = "weyl") -> np.ndarray:
     """Algebra morphism into 4x4 matrices: blade e^{m1..mk} -> gamma_{m1} ... gamma_{mk}."""
     if mv.sig != SIG13:
         raise InvalidInput("expected a multivector over Cl(1,3)")
-    G = _gammas(rep)
-    out = np.zeros((4, 4), dtype=complex)
-    for mask, c in mv.terms.items():
-        gm = np.eye(4, dtype=complex)
-        for i in range(4):
-            if mask >> i & 1:
-                gm = gm @ G[i]
-        out += c * gm
-    return out
+    return _bundle(rep).quantize(mv.to_vector())
 
 
 def dequantize_minkowski(T: np.ndarray, rep: str = "weyl") -> Multivector:
     """Inverse of quantize_minkowski via the trace pairing on the 16 blade matrices."""
-    G = _gammas(rep)
-    terms = {}
-    for mask in range(16):
-        gm = np.eye(4, dtype=complex)
-        for i in range(4):
-            if mask >> i & 1:
-                gm = gm @ G[i]
-        square = geometric_product(
-            Multivector(SIG13, {mask: 1.0}), Multivector(SIG13, {mask: 1.0})
-        ).scalar_part()
-        c = complex(np.trace(T @ gm)) / (4.0 * square)
-        if c != 0:
-            terms[mask] = c
-    return Multivector(SIG13, terms, "complex")
+    return Multivector.from_vector(SIG13, _bundle(rep).dequantize(T), "complex")
 
 
 @dataclass(frozen=True)
@@ -312,21 +311,14 @@ def aggregate_residuals(B: BilinearSet, rep: str = "weyl") -> tuple:
     """The five sandwich identities Z P Z = 4 <P> Z, P running over the probes
     defining sigma, J, S, K, omega; exact for spinor-derived data, singular or not.
     """
-    G = _gammas(rep)
-    g0123 = G[0] @ G[1] @ G[2] @ G[3]
     Z = quantize_minkowski(fierz_aggregate(B, rep).Z, rep)
     scale = max(1.0, float(np.abs(Z).max()) ** 2)
-
-    def resid(probe, value):
-        return float(np.abs(Z @ probe @ Z - 4.0 * value * Z).max()) / scale
-
-    eye = np.eye(4, dtype=complex)
-    r_sigma = resid(eye, B.sigma)
-    r_j = max(resid(G[m], B.J[m]) for m in range(4))
-    r_s = max(resid(0.5j * G[m] @ G[n], B.S[i]) for i, (m, n) in enumerate(S_PAIRS))
-    r_k = max(resid(1j * g0123 @ G[m], B.K[m]) for m in range(4))
-    r_omega = resid(g0123, B.omega)
-    return r_sigma, r_j, r_s, r_k, r_omega
+    values = (B.sigma, *B.J, *B.S, *B.K, B.omega)
+    r = [
+        float(np.abs(Z @ probe @ Z - 4.0 * value * Z).max()) / scale
+        for probe, value in zip(_probes(rep), values)
+    ]
+    return r[0], max(r[1:5]), max(r[5:11]), max(r[11:15]), r[15]
 
 
 def factorization_residual(B: BilinearSet) -> float:

@@ -165,6 +165,28 @@ class TestVerify:
         code, out, _ = run("verify", "fpk", "--trials", "5", "--seed", "3")
         assert code == 1 and out == ""
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_tolerance_exits_1(self, run, monkeypatch, bad):
+        monkeypatch.setenv("CLIF_TOL", bad)
+        code, out, err = run("verify", "fpk", "--trials", "5", "--seed", "3")
+        assert code == 1 and out == "" and "CLIF_TOL" in err
+
+    @pytest.mark.parametrize("nan_at", [0, 3])
+    def test_nan_residual_fails_the_suite(self, run, monkeypatch, nan_at):
+        # max(0.0, nan) is 0.0: a plain max would let the planted NaN pass
+        import spinorlab.cli as cli
+
+        calls = []
+
+        def planted(*quad):
+            calls.append(None)
+            return float("nan") if len(calls) == nan_at + 1 else 0.0
+
+        monkeypatch.setattr(cli, "fierz_identity_residual", planted)
+        code, out, _ = run("verify", "fierz", "--trials", "5", "--seed", "0")
+        doc = json.loads(out)
+        assert code == 2 and doc["pass"] is False and doc["max_residual"] != doc["max_residual"]
+
 
 class TestReconstruct:
     def test_round_trip_through_cli(self, run, tmp_path):
@@ -190,6 +212,14 @@ class TestReconstruct:
         code, out, _ = run("reconstruct", f)
         assert code == 2
         assert json.loads(out)["error"] == "ReconstructionFailed"
+
+    @pytest.mark.parametrize("key,bad", [("sigma", float("nan")), ("J", [0.0, float("inf"), 0.0, 0.0])])
+    def test_non_finite_bilinears_exit_1(self, run, tmp_path, key, bad):
+        doc = {"sigma": 1.0, "J": [1.0, 0.0, 0.0, 0.0], "S": [0.0] * 6, "K": [0.0] * 4, "omega": 0.0}
+        doc[key] = bad
+        f = write_json(tmp_path / "b.json", doc)
+        code, out, err = run("reconstruct", f)
+        assert code == 1 and out == "" and "non-finite" in err
 
 
 class TestRep:
