@@ -15,7 +15,10 @@ vectors through the signature's blade tables, out = va @ (vb[idx] * T) with
 idx[a, k] = a ^ k and T[a, k] the sign of e_a e_{a^k} (wedge: zero where the
 blades overlap).  The tables are built once per signature in one vectorised
 pass and stored as uint8 index and int8 signs, 3 * 4^n bytes: 192 KiB at
-n = 8.  DenseTable reads the same tables up to n = 10 (uint16 index, 4 MiB).
+n = 8.  DenseTable reads the same tables up to n = 10 (uint16 index, 4 MiB),
+and so do the stacked routes: stack_products forms every product of two
+coefficient stacks in a few blocked contractions, and blade_images gathers the
+blade multiples e_M v and v e_M without forming a product.
 The two routes agree to rounding on finite coefficients; the JSON decoder
 rejects non-finite ones.
 """
@@ -155,6 +158,51 @@ def _table_product(va: np.ndarray, vb: np.ndarray, idx: np.ndarray, table: np.nd
     return out
 
 
+def _stack_tables(sig: Signature) -> tuple:
+    if sig.n > DENSE_TABLE_MAX_N:
+        raise InvalidInput(f"blade-table stacks limited to n <= {DENSE_TABLE_MAX_N}")
+    return _blade_tables(sig)
+
+
+def blade_images(sig: Signature, v, masks=slice(None)) -> tuple:
+    """Coefficient rows of e_M v and v e_M for the listed blade masks M, by a gather.
+
+    (e_M v)[c] = v[M ^ c] G[M, c] and (v e_M)[c] = v[M ^ c] G[M ^ c, c]: both
+    read v's coefficients and the sign table; no product is formed.
+    """
+    idx, G, _ = _stack_tables(sig)
+    rows = idx[masks]
+    gathered = np.asarray(v)[rows]
+    return gathered * G[masks], gathered * np.take_along_axis(G, rows, axis=0)
+
+
+def stack_products(sig: Signature, A, B) -> np.ndarray:
+    """All geometric products A[i] B[j] of two coefficient stacks through the blade tables.
+
+    A is (m, 2^n) and B is (k, 2^n), real or complex, indexed by blade mask; the
+    result is the (m, k, 2^n) array out[i, j, c] = sum_a A[i, a] B[j, a ^ c] G[a, c].
+    B is gathered a block of rows a at a time, so the temporary stays near
+    _GATHER_ENTRIES entries (at least k * 2^n) whatever m and k are.
+    """
+    idx, G, _ = _stack_tables(sig)
+    dim = 1 << sig.n
+    A, B = np.asarray(A), np.asarray(B)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != dim or B.shape[1] != dim:
+        raise InvalidInput(f"coefficient stacks of {sig} must be (count, {dim}) arrays")
+    dtype = np.result_type(A, B, np.float64)
+    step = max(1, _GATHER_ENTRIES // max(1, len(B) * dim))
+    out = None  # out[j, i, c]: each block is one stacked matmul
+    for r in range(0, dim, step):
+        x = B[:, idx[r : r + step]].astype(dtype, copy=False)  # x[j, a, c] = B[j, a ^ c]
+        x *= G[r : r + step]
+        part = A[:, r : r + step] @ x
+        if out is None:
+            out = part
+        else:
+            out += part
+    return out.transpose(1, 0, 2)
+
+
 def _to_vector(mv: "Multivector", dtype) -> np.ndarray:
     v = np.zeros(1 << mv.sig.n, dtype=dtype)
     count = len(mv.terms)
@@ -238,7 +286,11 @@ class Multivector:
         return all(abs(c) <= tol for c in self.terms.values())
 
     def norm_inf(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        """Largest coefficient magnitude; NaN when any coefficient is NaN, wherever it sits."""
+        mags = list(map(abs, self.terms.values()))
+        top = max(mags, default=0.0)
+        total = sum(mags)  # Python max drops a NaN that is not first; a sum of magnitudes keeps it
+        return top if total == total else math.nan
 
     def to_vector(self) -> np.ndarray:
         """Dense coefficient vector indexed by blade mask (complex128 for the complex field)."""

@@ -10,7 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, Signature, basis_blade, geometric_product, norms
+from .algebra import (
+    DENSE_MAX_N,
+    Multivector,
+    Signature,
+    basis_blade,
+    blade_images,
+    geometric_product,
+    norms,
+    stack_products,
+)
 from .errors import ConvergenceError, InvalidInput, NonInvertible
 
 _SERIES_CAP = 64
@@ -87,20 +96,29 @@ def versor_to_matrix(a: Multivector, tol: float = 1e-10) -> np.ndarray:
     """Orthogonal matrix of the twisted adjoint action on the frame.
 
     Column j holds the frame components of hat(a) <> e^j <> a^-1; the action
-    must preserve grade 1 or the input is rejected.
+    must preserve grade 1 or the input is rejected.  Up to DENSE_MAX_N
+    generators the n images are one batched table product of the gathered
+    hat(a) <> e^j with a^-1; above it they are sparse products, column by column.
     """
     sig = a.sig
     inv = versor_inverse(a, tol)
     hat = a.grade_involution()
-    M = np.zeros((sig.n, sig.n))
-    for j in range(1, sig.n + 1):
-        image = geometric_product(geometric_product(hat, basis_blade(sig, [j])), inv)
-        scale = max(1.0, image.norm_inf())
-        if (image - image.grade(1)).norm_inf() > tol * scale:
+    dim = 1 << sig.n
+    frame = 1 << np.arange(sig.n)
+    if sig.n <= DENSE_MAX_N:
+        _, hat_frame = blade_images(sig, hat.to_vector(), frame)
+        images = stack_products(sig, hat_frame, inv.to_vector()[None])[:, 0]
+    else:
+        images = np.array(
+            [geometric_product(geometric_product(hat, basis_blade(sig, [j])), inv).to_vector()
+             for j in range(1, sig.n + 1)]
+        )
+    off_grade = np.bitwise_count(np.arange(dim)) != 1
+    for image in images:
+        scale = max(1.0, float(np.abs(image).max()))
+        if not float(np.abs(image[off_grade]).max(initial=0.0)) <= tol * scale:
             raise NonInvertible("twisted adjoint does not preserve grade 1: not a versor")
-        for mask, c in image.grade(1).terms.items():
-            M[mask.bit_length() - 1, j - 1] = np.real(c)
-    return M
+    return images[:, frame].real.T + 0.0  # + 0.0: zero entries read 0.0, not -0.0
 
 
 @dataclass(frozen=True)

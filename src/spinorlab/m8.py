@@ -6,6 +6,7 @@ classification, and the algebraic constraint operator of the flux background.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -116,7 +117,7 @@ def fierz_identity_residual(x1, x2, x3, x4) -> float:
     resid_mat = float(np.abs(m12 @ m34 - mat_target).max()) / mat_norm
 
     bridge = float(np.abs(quantize(table.to_multivector(prod_vec)) - m12 @ m34).max()) / mat_norm
-    return max(resid_form, resid_mat, bridge)
+    return float(np.max([resid_form, resid_mat, bridge]))  # np.max keeps a NaN wherever it sits
 
 
 def complexified_bilinears(xR, xI, k: int) -> Multivector:
@@ -178,8 +179,11 @@ class FluxData:
     def __post_init__(self):
         object.__setattr__(self, "f", tuple(float(v) for v in self.f))
         object.__setattr__(self, "dDelta", tuple(float(v) for v in self.dDelta))
+        object.__setattr__(self, "kappa", float(self.kappa))
         if len(self.f) != 8 or len(self.dDelta) != 8:
             raise InvalidInput("f and dDelta carry 8 components")
+        if not all(math.isfinite(v) for v in (*self.f, *self.dDelta, self.kappa)):
+            raise InvalidInput("non-finite f, dDelta or kappa")
         clean = {}
         for idx, val in self.F.items():
             idx = tuple(int(i) for i in idx)
@@ -187,8 +191,11 @@ class FluxData:
                 raise InvalidInput(f"bad 4-form index tuple {idx}")
             if len(set(idx)) != 4 or list(idx) != sorted(idx):
                 raise InvalidInput(f"4-form indices must be strictly ascending: {idx}")
+            val = float(val)
+            if not math.isfinite(val):
+                raise InvalidInput(f"non-finite 4-form coefficient at {idx}")
             if val != 0.0:
-                clean[idx] = float(val)
+                clean[idx] = val
         object.__setattr__(self, "F", clean)
 
 

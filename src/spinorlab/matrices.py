@@ -14,8 +14,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import Multivector, Signature, approx_equal, basis_blade, geometric_product
-from .errors import InvalidInput, UnsupportedDivisionRing
+from .algebra import (
+    Multivector,
+    Signature,
+    approx_equal,
+    blade_images,
+    geometric_product,
+    stack_products,
+)
+from .errors import InvalidInput, SignatureMismatch, UnsupportedDivisionRing
 from .tables import RING_DIM, classify_real
 
 # 2x2 real building blocks for tensor-word constructions.
@@ -215,71 +222,87 @@ class IdempotentRep:
     Emat: list = field(repr=False, default_factory=list)
     _f1_scalar: float = 0.0
 
-    def component(self, a: int, b: int, x: Multivector, tol: float = 1e-9):
-        """Matrix entry x_ab read against f1 from E_1a <> x <> E_b1."""
-        prod = geometric_product(geometric_product(self.Erow[a], x), self.Ecol[b])
-        lam = prod.scalar_part() / self._f1_scalar
-        resid = (prod - self.f[0] * lam).norm_inf()
-        scale = max(1.0, prod.norm_inf())
-        if resid > tol * scale:
+    @cached_property
+    def _stacks(self) -> tuple:
+        """Coefficient stacks of {E_1a}, {E_b1} and f[0], for the batched products."""
+        rows = np.array([e.to_vector() for e in self.Erow])
+        cols = np.array([e.to_vector() for e in self.Ecol])
+        return rows, cols, self.f[0].to_vector()
+
+    def _entries(self, prods: np.ndarray, tol: float) -> np.ndarray:
+        """Matrix entries lam with E_1a x E_b1 = lam f1, read from (..., a, b, 2^n) products."""
+        lam, resid, bad = _multiples(prods, self._stacks[2], self._f1_scalar, tol)
+        if len(bad):
+            a, b = bad[0][-2:]
             raise UnsupportedDivisionRing(
-                f"E_1{a} x E_{b}1 is not a real multiple of f1 (residual {resid:.2e})"
+                f"E_1{a} x E_{b}1 is not a real multiple of f1 (residual {resid[tuple(bad[0])]:.2e})"
             )
         return lam
 
     def matrix_of(self, x: Multivector, tol: float = 1e-9) -> np.ndarray:
-        n = self.size
-        return np.array([[self.component(a, b, x, tol) for b in range(n)] for a in range(n)])
+        if x.sig != self.sig:
+            raise SignatureMismatch(f"{x.sig} vs {self.sig}")
+        rows, cols, _ = self._stacks
+        left = stack_products(self.sig, rows, x.to_vector()[None])[:, 0]  # E_1a x
+        return self._entries(stack_products(self.sig, left, cols), tol)
 
     def gamma_matrices(self, tol: float = 1e-9) -> list:
-        return [
-            self.matrix_of(basis_blade(self.sig, [i]), tol) for i in range(1, self.sig.n + 1)
-        ]
+        n, dim = self.sig.n, 1 << self.sig.n
+        rows, cols, _ = self._stacks
+        gens = np.eye(dim)[1 << np.arange(n)]
+        left = stack_products(self.sig, rows, gens).reshape(-1, dim)  # E_1a e_i at a * n + i
+        prods = stack_products(self.sig, left, cols).reshape(self.size, n, self.size, dim)
+        return list(self._entries(prods.transpose(1, 0, 2, 3), tol))
 
 
-def _canonical_blades(sig: Signature) -> list:
-    masks = range(1 << sig.n)
-    return sorted(masks, key=lambda m: (bin(m).count("1"), m))
+def _ideal_basis_rows(images: np.ndarray, tol: float = 1e-9) -> list:
+    """Masks of the blade images that raise the rank, scanned in (grade, mask) order.
 
-
-def _coeff_vector(mv: Multivector, dim: int) -> np.ndarray:
-    v = np.zeros(dim)
-    for m, c in mv.terms.items():
-        v[m] = c
-    return v
-
-
-def _greedy_ideal_basis(sig: Signature, side_mul, tol: float = 1e-9) -> list:
-    """Pivoted scan of blade <> f1 (or f1 <> blade) images, keeping rank-increasing ones.
-
-    Scanning blades in (grade, mask) order makes the chosen basis deterministic
-    and reproduces the textbook Cl(2,0) basis verbatim.
+    Image i raises the rank when its distance from the span of the images
+    before it exceeds tol times its norm; that distance is |R_ii| of the QR
+    factorisation of the images as columns, in scan order.  Images of norm
+    <= tol are skipped.  Scanning blades in (grade, mask) order makes the
+    chosen basis deterministic and reproduces the textbook Cl(2,0) basis verbatim.
     """
-    dim = 1 << sig.n
-    basis, ortho = [], []
-    for mask in _canonical_blades(sig):
-        image = side_mul(Multivector(sig, {mask: 1.0}))
-        v = _coeff_vector(image, dim)
-        norm = np.linalg.norm(v)
-        if norm <= tol:
-            continue
-        w = v.copy()
-        for u in ortho:
-            w -= (u @ w) * u
-        if np.linalg.norm(w) > tol * norm:
-            basis.append(image)
-            ortho.append(w / np.linalg.norm(w))
-    return basis
+    masks = np.arange(len(images))
+    order = masks[np.lexsort((masks, np.bitwise_count(masks)))]
+    columns = images[order].T
+    norms = np.linalg.norm(columns, axis=0)
+    live = norms > tol
+    columns[:, ~live] = 0.0
+    distance = np.abs(np.diagonal(np.linalg.qr(columns, mode="r")))
+    return order[live & (distance > tol * norms)].tolist()
+
+
+def _real_multivectors(sig: Signature, stack: np.ndarray) -> list:
+    """Real Multivectors of the rows of a coefficient stack; exact zeros are pruned."""
+    return [
+        Multivector._trusted(sig, {m: c for m, c in enumerate(row) if c}, "real")
+        for row in stack.tolist()
+    ]
+
+
+def _multiples(prods: np.ndarray, ref: np.ndarray, scalar: float, tol: float) -> tuple:
+    """Read prods[...] = lam ref with lam = <prods>_0 / scalar; the division-ring gate.
+
+    Returns lam, the residuals |prod - lam ref|_inf and the indices where the
+    residual is not within tol * max(1, |prod|_inf) (a NaN residual fails).
+    """
+    lam = (prods[..., 0] + 0.0) / scalar  # + 0.0: an absent scalar part reads 0.0, not -0.0
+    resid = np.abs(prods - lam[..., None] * ref).max(axis=-1)
+    bad = np.argwhere(~(resid <= tol * np.maximum(1.0, np.abs(prods).max(axis=-1))))
+    return lam, resid, bad
 
 
 def rep_from_idempotent(sig: Signature, f1: Multivector, tol: float = 1e-9) -> IdempotentRep:
     """Matrix representation of Cl(p,q) from a primitive idempotent f1.
 
-    Computes the minimal left ideal Cl <> f1 by rank analysis of right
-    multiplication on the blade basis, picks the column basis {E_A1} by pivoted
-    elimination, solves the dual basis {E_1A} from E_1A <> E_B1 = delta f1, and
-    assembles E_AB = E_A1 <> E_1B.  Only the real-commutant case is supported:
-    f1 <> Cl <> f1 must be one-dimensional over R.
+    Computes the minimal left ideal Cl <> f1 by rank analysis of the blade
+    images e_M <> f1, gathered from f1's coefficients and the sign table, picks
+    the column basis {E_A1} by a pivoted scan, solves the dual basis {E_1A}
+    from E_1A <> E_B1 = delta f1, and assembles E_AB = E_A1 <> E_1B; the
+    products are batched over the blade tables.  Only the real-commutant case
+    is supported: f1 <> Cl <> f1 must be one-dimensional over R.
     """
     if f1.sig != sig:
         raise InvalidInput("idempotent signature mismatch")
@@ -295,46 +318,35 @@ def rep_from_idempotent(sig: Signature, f1: Multivector, tol: float = 1e-9) -> I
         )
     expected = descriptor.matrix_dim * RING_DIM[descriptor.division_ring]
 
-    col_basis = _greedy_ideal_basis(sig, lambda b: geometric_product(b, f1), tol)
-    if len(col_basis) != expected:
+    f1v = f1.to_vector()
+    left, right = blade_images(sig, f1v)  # row M: e_M <> f1 and f1 <> e_M
+
+    col_masks = _ideal_basis_rows(left, tol)
+    if len(col_masks) != expected:
         raise InvalidInput(
-            f"ideal dimension {len(col_basis)} != {expected}: f1 is not primitive"
+            f"ideal dimension {len(col_masks)} != {expected}: f1 is not primitive"
         )
+    cols = left[col_masks]
+    col_basis = _real_multivectors(sig, cols)
     if not approx_equal(col_basis[0], f1, max(tol, 1e-12)):
         # The scan always hits 1 <> f1 = f1 first; anything else is a logic error.
         raise InvalidInput("ideal basis does not start at f1")
 
-    row_basis = _greedy_ideal_basis(sig, lambda b: geometric_product(f1, b), tol)
-    if len(row_basis) != expected:
+    row_masks = _ideal_basis_rows(right, tol)
+    if len(row_masks) != expected:
         raise InvalidInput("row ideal dimension mismatch: f1 is not primitive")
-
-    f1_scalar = f1.scalar_part()
-    size = len(col_basis)
 
     # P[j, b] f1 = row_basis[j] <> col_basis[b]; each product must be a real
     # multiple of f1 (the division-ring gate).
-    P = np.zeros((size, size))
-    for j, rj in enumerate(row_basis):
-        for b, cb in enumerate(col_basis):
-            prod = geometric_product(rj, cb)
-            lam = prod.scalar_part() / f1_scalar
-            resid = (prod - f1 * lam).norm_inf()
-            if resid > tol * max(1.0, prod.norm_inf()):
-                raise UnsupportedDivisionRing(
-                    f"f1 <> Cl <> f1 is not one-dimensional over R (residual {resid:.2e})"
-                )
-            P[j, b] = lam
-    coeffs = np.linalg.solve(P.T, np.eye(size)).T  # row a: E_1a in row-basis coordinates
+    f1_scalar = f1.scalar_part()
+    P, resid, bad = _multiples(stack_products(sig, right[row_masks], cols), f1v, f1_scalar, tol)
+    if len(bad):
+        raise UnsupportedDivisionRing(
+            f"f1 <> Cl <> f1 is not one-dimensional over R (residual {resid[tuple(bad[0])]:.2e})"
+        )
+    coeffs = np.linalg.solve(P.T, np.eye(expected)).T  # row a: E_1a in row-basis coordinates
+    rows = coeffs @ right[row_masks]
 
-    erow = []
-    for a in range(size):
-        acc = Multivector.zero(sig)
-        for j, rj in enumerate(row_basis):
-            acc = acc + rj * coeffs[a, j]
-        erow.append(acc)
-
-    emat = [
-        [geometric_product(col_basis[a], erow[b]) for b in range(size)] for a in range(size)
-    ]
-    f_list = [emat[a][a] for a in range(size)]
-    return IdempotentRep(sig, size, f_list, col_basis, erow, emat, f1_scalar)
+    emat = [_real_multivectors(sig, line) for line in stack_products(sig, cols, rows)]
+    f_list = [emat[a][a] for a in range(expected)]
+    return IdempotentRep(sig, expected, f_list, col_basis, _real_multivectors(sig, rows), emat, f1_scalar)

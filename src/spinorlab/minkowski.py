@@ -210,8 +210,9 @@ class FpkReport:
     auxiliary: tuple | None
 
     def max_residual(self) -> float:
-        aux = max(self.auxiliary) if self.auxiliary else 0.0
-        return max(self.j_squared, self.k_plus_j, self.j_dot_k, self.flag_plane, aux)
+        """Worst residual, auxiliary ones included; NaN when any residual is NaN."""
+        aux = self.auxiliary or (0.0,)
+        return float(np.max([self.j_squared, self.k_plus_j, self.j_dot_k, self.flag_plane, *aux]))
 
 
 def _minkowski_square(x) -> float:

@@ -302,6 +302,23 @@ class TestGradeMapsAndNorms:
         n, nprime = norms(basis_blade(s01, [1]))
         assert n == -1.0 and nprime == 1.0
 
+    @pytest.mark.parametrize("position", ["first", "last"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_norm_inf_keeps_nan_wherever_it_sits(self, position, field):
+        # max(1.0, nan) is 1.0: a plain max dropped a NaN that was not the first term
+        finite = [(1, 1.0), (2, -2.0)]
+        nan_term = [(0, float("nan"))]
+        terms = nan_term + finite if position == "first" else finite + nan_term
+        mv = Multivector(Signature(2, 0), dict(terms), field)
+        assert np.isnan(list(mv.terms.values())[0 if position == "first" else -1])
+        assert np.isnan(mv.norm_inf())
+
+    def test_norm_inf_finite_values(self):
+        assert Multivector.zero(S30).norm_inf() == 0.0
+        assert Multivector(S30, {0: -3.0, 5: 2.0, 7: float("inf")}).norm_inf() == float("inf")
+        assert Multivector(S30, {0: -3.0, 5: 2.0}).norm_inf() == 3.0
+        assert Multivector(S30, {1: 3 + 4j}, "complex").norm_inf() == 5.0
+
     def test_norm_parity_relation(self):
         rng = np.random.default_rng(37)
         sig = Signature(3, 1)

@@ -188,6 +188,31 @@ class TestVerify:
         assert code == 2 and doc["pass"] is False and doc["max_residual"] != doc["max_residual"]
 
 
+    @pytest.mark.parametrize("entry", ["k_plus_j", "auxiliary"])
+    def test_nan_inside_one_fpk_report_fails_the_suite(self, run, monkeypatch, entry):
+        # the report's own fold must keep the NaN for the suite reducer to see it
+        import dataclasses
+
+        import spinorlab.cli as cli
+
+        original, calls = cli.fpk_residuals, []
+
+        def planted(B):
+            report = original(B)
+            calls.append(None)
+            if len(calls) != 2:
+                return report
+            if entry == "auxiliary":
+                return dataclasses.replace(report, auxiliary=(0.0, float("nan")))
+            return dataclasses.replace(report, k_plus_j=float("nan"))
+
+        monkeypatch.setattr(cli, "fpk_residuals", planted)
+        code, out, _ = run("verify", "fpk", "--trials", "5", "--seed", "0")
+        doc = json.loads(out)
+        assert len(calls) == 5
+        assert code == 2 and doc["pass"] is False and doc["max_residual"] != doc["max_residual"]
+
+
 class TestReconstruct:
     def test_round_trip_through_cli(self, run, tmp_path):
         psi = {"rep": "weyl", "components": [[1, 0], [0, 0], [1, 1], [0, 0]]}

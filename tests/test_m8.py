@@ -134,6 +134,16 @@ class TestFierz:
     def test_zero(self):
         assert fierz_polyform(np.zeros(16), np.zeros(16)).is_zero()
 
+    @pytest.mark.parametrize("route", ["rank_one_matrix", "quantize"])
+    def test_identity_residual_keeps_nan(self, monkeypatch, route):
+        # a NaN in the matrix route (second) or the bridge (third) was dropped by a plain max
+        import spinorlab.m8 as m8
+
+        original = getattr(m8, route)
+        monkeypatch.setattr(m8, route, lambda *args: original(*args) * np.nan)
+        rng = np.random.default_rng(8)
+        assert np.isnan(fierz_identity_residual(*(rng.normal(size=16) for _ in range(4))))
+
     def test_unit_idempotent(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=16)
@@ -292,6 +302,23 @@ class TestJson:
         }
         flux = flux_from_json(doc)
         assert flux.F == {(1, 2, 3, 4): 2.0} and flux.kappa == 0.5
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("where", ["f", "dDelta", "F", "kappa"])
+    def test_flux_rejects_non_finite(self, where, bad):
+        fields = {"f": (0.0,) * 8, "dDelta": (0.0,) * 8, "F": {(1, 2, 3, 4): 1.0}, "kappa": 0.5}
+        if where == "F":
+            fields["F"] = {(1, 2, 3, 4): 1.0, (2, 3, 5, 8): bad}
+        elif where == "kappa":
+            fields["kappa"] = bad
+        else:
+            fields[where] = (0.0,) * 7 + (bad,)
+        with pytest.raises(InvalidInput):
+            FluxData(**fields)
+        doc = {key: list(value) if key in ("f", "dDelta") else value for key, value in fields.items()}
+        doc["F"] = [{"indices": list(idx), "value": val} for idx, val in fields["F"].items()]
+        with pytest.raises(InvalidInput):
+            flux_from_json(doc)
 
 
 class TestFluxFTerm:

@@ -11,6 +11,7 @@ from spinorlab.minkowski import (
     SIG13,
     BilinearSet,
     DiracSpinor,
+    FpkReport,
     aggregate_residuals,
     bilinears,
     bilinears_as_forms,
@@ -95,6 +96,22 @@ class TestFpk:
     def test_violated_constraints_detected(self):
         B = BilinearSet(1.0, (0.0,) * 4, (0.0,) * 6, (0.0,) * 4, 0.0)
         assert fpk_residuals(B).j_squared > 0.1
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            FpkReport(0.0, float("nan"), 0.0, 0.0, None),
+            FpkReport(float("nan"), 1.0, 0.0, 0.0, None),
+            FpkReport(0.0, 0.0, 0.0, 1e-3, (0.0, float("nan"), 0.0)),
+        ],
+    )
+    def test_max_residual_keeps_nan(self, report):
+        # max(0.0, nan) is 0.0: a plain max let a NaN in one entry read as a pass
+        assert np.isnan(report.max_residual())
+
+    def test_max_residual_takes_the_worst_entry(self):
+        assert FpkReport(0.0, 2e-3, 0.0, 1e-3, None).max_residual() == 2e-3
+        assert FpkReport(0.0, 2e-3, 0.0, 1e-3, (1e-4, 5e-3)).max_residual() == 5e-3
 
     def test_auxiliary_gated_on_regularity(self):
         psi = DiracSpinor("weyl", (-1j, 1j, 1, 1))  # singular
