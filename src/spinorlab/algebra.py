@@ -667,10 +667,14 @@ class DenseTable:
             raise InvalidInput(f"dense table limited to n <= {DENSE_TABLE_MAX_N}")
         self.sig = sig
         self.dim = 1 << sig.n
-        self._idx, self._sign, _ = _blade_tables(sig)
+        self._idx, self._sign, self._wedge = _blade_tables(sig)
 
     def product(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
         return _table_product(va, vb, self._idx, self._sign)
+
+    def wedge(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+        """Exterior product of two coefficient vectors through the wedge sign table."""
+        return _table_product(va, vb, self._idx, self._wedge)
 
     def to_vector(self, mv: Multivector) -> np.ndarray:
         return mv.to_vector()

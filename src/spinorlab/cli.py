@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 invalid input (stdout empty, diagnostics on stderr),
 2 verification or reconstruction failure (stdout still valid JSON).  All
 randomness flows through a single generator seeded by --seed (default 0);
-CLIF_TOL overrides the default tolerance of 1e-10.
+CLIF_TOL overrides the default tolerance of 1e-10.  Both CLIF_TOL and
+`classify --tol` must be positive finite numbers.
 """
 
 from __future__ import annotations
@@ -28,17 +29,19 @@ from .tables import classify_complex, classify_real, spinor_space
 DEFAULT_TOL = 1e-10
 
 
-def _tolerance() -> float:
-    raw = os.environ.get("CLIF_TOL")
-    if raw is None:
-        return DEFAULT_TOL
+def _parse_tolerance(raw: str, name: str) -> float:
     try:
         val = float(raw)
     except ValueError:
-        raise InvalidInput(f"CLIF_TOL is not a number: {raw!r}") from None
+        raise InvalidInput(f"{name} is not a number: {raw!r}") from None
     if not math.isfinite(val) or val <= 0:
-        raise InvalidInput("CLIF_TOL must be a positive finite number")
+        raise InvalidInput(f"{name} must be a positive finite number")
     return val
+
+
+def _tolerance() -> float:
+    raw = os.environ.get("CLIF_TOL")
+    return DEFAULT_TOL if raw is None else _parse_tolerance(raw, "CLIF_TOL")
 
 
 def _emit(doc) -> None:
@@ -91,7 +94,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    tol = args.tol if args.tol is not None else _tolerance()
+    tol = _parse_tolerance(args.tol, "--tol") if args.tol is not None else _tolerance()
     doc = _load_json(args.file)
     if args.kind == "dirac":
         psi = sio.spinor_from_json(doc)
@@ -319,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", help="spinor classification")
     p_cls.add_argument("kind", choices=["dirac", "m8"])
     p_cls.add_argument("file")
-    p_cls.add_argument("--tol", type=float)
+    p_cls.add_argument("--tol")  # parsed by _parse_tolerance: a bad value exits 1
     p_cls.set_defaults(func=cmd_classify)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")

@@ -79,19 +79,32 @@ def spinor_to_json(psi: DiracSpinor) -> dict:
     }
 
 
+def _floats(values, what: str) -> list:
+    """The entries of a JSON list as floats; InvalidInput for a non-list or a non-number."""
+    if not isinstance(values, (list, tuple)):
+        raise InvalidInput(f"{what} must be a list")
+    try:
+        return [float(x) for x in values]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"non-numeric entry in {what}: {exc}") from None
+
+
 def spinor_from_json(doc: dict) -> DiracSpinor:
     try:
         rep = doc["rep"]
         comps = doc["components"]
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed spinor document: {exc}") from None
-    if len(comps) != 4:
-        raise InvalidInput("spinor needs 4 components")
+    if not isinstance(rep, str):
+        raise InvalidInput("spinor representation must be a string")
+    if not isinstance(comps, (list, tuple)) or len(comps) != 4:
+        raise InvalidInput("spinor components must be a list of 4 [re, im] pairs")
     values = []
     for pair in comps:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InvalidInput("components are [re, im] pairs")
-        values.append(complex(float(pair[0]), float(pair[1])))
+        re, im = _floats(pair, "a spinor component")
+        values.append(complex(re, im))
     return DiracSpinor(rep, tuple(values))
 
 
@@ -119,12 +132,11 @@ def bilinears_from_json(doc: dict) -> BilinearSet:
 
 
 def m8_spinor_from_json(doc: dict) -> tuple:
-    try:
-        real = np.array([float(x) for x in doc["real"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed m8 spinor document: {exc}") from None
+    if not isinstance(doc, dict) or "real" not in doc:
+        raise InvalidInput("m8 spinor document must be an object with a \"real\" list")
+    real = np.array(_floats(doc["real"], '"real"'))
     imag_raw = doc.get("imag")
-    imag = np.zeros(16) if imag_raw is None else np.array([float(x) for x in imag_raw])
+    imag = np.zeros(16) if imag_raw is None else np.array(_floats(imag_raw, '"imag"'))
     if real.shape != (16,) or imag.shape != (16,):
         raise InvalidInput("m8 spinor components must have 16 entries")
     return real, imag

@@ -24,6 +24,9 @@ SURVIVING_GRADES = (0, 1, 4, 5, 8)
 CL8 = builtin_gammas("cl8")  # its (256, 16, 16) blade stack is built on first use
 
 _GRADE_MASKS = [np.flatnonzero(np.bitwise_count(np.arange(1 << 8)) == k) for k in range(9)]
+# The 136 blades of the surviving grades, grade by grade, and where each grade starts.
+_SURVIVING_MASKS = np.concatenate([_GRADE_MASKS[k] for k in SURVIVING_GRADES])
+_SURVIVING_STARTS = np.cumsum([0] + [len(_GRADE_MASKS[k]) for k in SURVIVING_GRADES[:-1]])
 # Flux generators in the order of the constraint's parameters: dDelta_1..8, the
 # 70 ascending four-form indices, kappa.
 _FOUR_FORMS = list(combinations(range(1, 9), 4))
@@ -148,16 +151,17 @@ def classify_m8(xR, xI, tol: float = 1e-10) -> M8Class:
     """Zero-pattern class of the complexified covariants on grades 0,1,4,5,8.
 
     The label is the binary encoding of the pattern (grade-0 flag is bit 0);
-    the all-zero pattern is the trivial class 0.
+    the all-zero pattern is the trivial class 0.  A grade is nonzero when its
+    largest complexified covariant exceeds tol * (1 + |xR|^2 + |xI|^2).
     """
-    if tol <= 0:
-        raise InvalidInput("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInput("tolerance must be a positive finite number")
     xr, xi = _as_spinor(xR), _as_spinor(xI)
     scale = 1.0 + float(xr @ xr) + float(xi @ xi)
-    flags = []
-    for k in SURVIVING_GRADES:
-        mv = complexified_bilinears(xr, xi, k)
-        flags.append(bool(mv.norm_inf() > tol * scale))
+    z = xr + 1j * xi
+    # |B(z, gamma_M z)| on every surviving blade M: complexified_bilinears of all five grades
+    mags = np.abs(CL8.pairings(z, z, _SURVIVING_MASKS))
+    flags = (np.maximum.reduceat(mags, _SURVIVING_STARTS) > tol * scale).tolist()
     label = sum(1 << i for i, f in enumerate(flags) if f)
     return M8Class(tuple(flags), label)
 

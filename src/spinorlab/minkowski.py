@@ -10,6 +10,7 @@ of basis.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,9 +22,11 @@ from .algebra import (
     Multivector,
     Signature,
     basis_blade,
+    blade_images,
+    dense_table,
     geometric_product,
     permutation_sign,
-    wedge,
+    stack_products,
 )
 from .errors import InconsistentBilinears, InvalidInput, ReconstructionFailed
 from .matrices import RepBundle, builtin_gammas, similarity_matrix
@@ -33,6 +36,30 @@ S_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _RAISE = (1.0, -1.0, -1.0, -1.0)
 _TAU = basis_blade(SIG13, [1, 2, 3, 4])
 _ONE = Multivector.scalar(SIG13, 1.0)
+
+# Coefficient-vector layout of the forms (indices are blade masks of Cl(1,3)):
+# the (row, mask) slot and the index-raising weight of each J, K and S component.
+_TAU_MASK = 0b1111
+_VECTORS = np.array([1 << m for m in range(4)])
+_BIVECTORS = np.array([(1 << m) | (1 << n) for m, n in S_PAIRS])
+_FORM_SLOTS = (np.repeat([0, 1, 2], [4, 4, 6]), np.concatenate((_VECTORS, _VECTORS, _BIVECTORS)))
+_FORM_WEIGHTS = np.array(_RAISE * 2 + tuple(2.0 * _RAISE[m] * _RAISE[n] for m, n in S_PAIRS))
+# The aggregate sigma + J + (i) 2S + i K tau - omega tau: the blade and the weight of
+# each of sigma, J, K, S, omega.  K tau is K gathered onto the blades M ^ tau with the
+# signs of right multiplication by tau, (v tau)[c] = v[c ^ tau] G[c ^ tau, c].
+_TAU_SIGNS = blade_images(SIG13, np.ones(16), [_TAU_MASK])[1][0]
+_Z_MASKS = np.concatenate(([0], _VECTORS, _VECTORS ^ _TAU_MASK, _BIVECTORS, [_TAU_MASK]))
+_K_TAU_WEIGHTS = 1j * np.multiply(_RAISE, _TAU_SIGNS[_VECTORS ^ _TAU_MASK])
+_Z_WEIGHTS = {
+    imaginary_s: np.concatenate(
+        ([1.0], _RAISE, _K_TAU_WEIGHTS, _FORM_WEIGHTS[8:] * (1j if imaginary_s else 1.0), [-1.0])
+    )
+    for imaginary_s in (True, False)
+}
+# The coordinate route's S slots and raising signs; the blade route's wedge table.
+_S_INDEX = tuple(np.array(S_PAIRS).T)
+_RAISE_OUTER = np.outer(_RAISE, _RAISE)
+_TABLE = dense_table(SIG13)
 
 _BUNDLES = {name: builtin_gammas(name) for name in ("weyl", "dirac")}
 
@@ -75,7 +102,7 @@ class DiracSpinor:
         comps = tuple(complex(c) for c in self.components)
         if len(comps) != 4:
             raise InvalidInput("a Dirac spinor has 4 components")
-        if not all(np.isfinite([c.real, c.imag]).all() for c in comps):
+        if not all(map(cmath.isfinite, comps)):
             raise InvalidInput("non-finite spinor component")
         object.__setattr__(self, "components", comps)
 
@@ -182,17 +209,19 @@ def bilinears_as_forms(B: BilinearSet) -> tuple:
     return B.sigma, J, S, K, omega_form
 
 
+def _form_rows(B: BilinearSet) -> np.ndarray:
+    """(5, 16) coefficient rows of the index-raised forms as they sit inside the
+    aggregate, J^mu, K^mu, 2 S^{mu nu}, then omega - sigma tau and omega + sigma tau."""
+    rows = np.zeros((5, 16))
+    rows[_FORM_SLOTS] = _FORM_WEIGHTS * np.array(B.J + B.K + B.S)
+    rows[3:, 0] = B.omega
+    rows[3:, _TAU_MASK] = (-B.sigma, B.sigma)
+    return rows
+
+
 def _aggregate_forms(B: BilinearSet) -> tuple:
     """Index-raised forms as they sit inside the aggregate: J^mu, 2 S^{mu nu}, K^mu."""
-    Jf = Multivector(SIG13, {1 << m: _RAISE[m] * B.J[m] for m in range(4)})
-    Sf = Multivector(
-        SIG13,
-        {
-            (1 << m) | (1 << n): 2.0 * _RAISE[m] * _RAISE[n] * B.S[i]
-            for i, (m, n) in enumerate(S_PAIRS)
-        },
-    )
-    Kf = Multivector(SIG13, {1 << m: _RAISE[m] * B.K[m] for m in range(4)})
+    Jf, Kf, Sf = (Multivector.from_vector(SIG13, row) for row in _form_rows(B)[:3])
     return Jf, Sf, Kf
 
 
@@ -234,34 +263,27 @@ def fpk_residuals(B: BilinearSet, tol: float = 1e-6) -> FpkReport:
     k2 = _minkowski_square(B.K)
     jdotk = B.J[0] * B.K[0] - sum(B.J[i] * B.K[i] for i in (1, 2, 3))
 
+    J, K, S = np.array(B.J), np.array(B.K), np.array(B.S)
     s_full = np.zeros((4, 4))
-    for idx, (m, n) in enumerate(S_PAIRS):
-        s_full[m, n] = B.S[idx]
-        s_full[n, m] = -B.S[idx]
-    s_up = np.outer(_RAISE, _RAISE) * s_full
-    star_s = -0.5 * np.einsum("mnab,ab->mn", _EPS, s_up)
-    lhs = np.outer(B.J, B.K) - np.outer(B.K, B.J)
+    s_full[_S_INDEX] = S
+    s_full[_S_INDEX[::-1]] = -S
+    star_s = -0.5 * np.einsum("mnab,ab->mn", _EPS, _RAISE_OUTER * s_full)
+    lhs = J[:, None] * K - K[:, None] * J
     flag_coord = float(np.abs(lhs - 2.0 * B.omega * s_full - 2.0 * B.sigma * star_s).max())
 
-    Jf, Sf, Kf = _aggregate_forms(B)
-    flag_alg = (
-        wedge(Jf, Kf) - geometric_product(_ONE * B.omega - _TAU * B.sigma, Sf)
-    ).norm_inf()
+    rows = _form_rows(B)
+    # prod[i, j] = A[i] B[j] for A = (Sf, omega - sigma tau, carrier) and B = (Jf, Kf, Sf),
+    # the carrier being omega + sigma tau
+    prod = stack_products(SIG13, rows[2:], rows[:3])
+    residuals = np.empty((4, 16))
+    residuals[0] = _TABLE.wedge(rows[0], rows[1]) - prod[1, 2]  # flag plane
+    residuals[1:3] = prod[0, :2] + prod[2, 1::-1]  # S J + carrier K, S K + carrier J
+    residuals[3] = prod[0, 2]  # S S - (omega^2 - sigma^2) - 2 omega sigma tau
+    residuals[3, 0] -= B.omega**2 - B.sigma**2
+    residuals[3, _TAU_MASK] -= 2.0 * B.omega * B.sigma
+    flag_alg, *aux = np.abs(residuals).max(axis=1).tolist()
     flag = max(flag_coord, flag_alg)
-
-    aux = None
-    if B.sigma**2 + B.omega**2 > tol:
-        carrier = _ONE * B.omega + _TAU * B.sigma
-        aux = (
-            (geometric_product(Sf, Jf) + geometric_product(carrier, Kf)).norm_inf() / scale,
-            (geometric_product(Sf, Kf) + geometric_product(carrier, Jf)).norm_inf() / scale,
-            (
-                geometric_product(Sf, Sf)
-                - _ONE * (B.omega**2 - B.sigma**2)
-                - _TAU * (2.0 * B.omega * B.sigma)
-            ).norm_inf()
-            / scale,
-        )
+    aux = tuple(r / scale for r in aux) if B.sigma**2 + B.omega**2 > tol else None
     return FpkReport(abs(j2 - B.sigma**2 - B.omega**2) / scale, abs(k2 + j2) / scale,
                      abs(jdotk) / scale, flag / scale, aux)
 
@@ -287,6 +309,17 @@ class FierzAggregate:
     is_boomerang: bool
 
 
+def _aggregate(B: BilinearSet, rep: str, imaginary_s: bool = True) -> tuple:
+    """Coefficient vector z of the aggregate sigma + J + (i) 2S + i K tau - omega tau,
+    and its quantization Z (4 psi psibar for spinor data).
+
+    The terms sit on distinct blades, so z is one weighted scatter of the covariants.
+    """
+    z = np.zeros(16, dtype=complex)
+    z[_Z_MASKS] = _Z_WEIGHTS[bool(imaginary_s)] * np.array((B.sigma, *B.J, *B.K, *B.S, B.omega))
+    return z, _bundle(rep).quantize(z)
+
+
 def fierz_aggregate(B: BilinearSet, rep: str = "weyl", tol: float = 1e-9,
                     imaginary_s: bool = True) -> FierzAggregate:
     """Multivector aggregate whose quantization is 4 psi psibar for spinor data.
@@ -295,30 +328,23 @@ def fierz_aggregate(B: BilinearSet, rep: str = "weyl", tol: float = 1e-9,
     default carries the grade-2 block with a factor i (the one the inversion
     theorem uses); the alternate leaves it real.
     """
-    Jf, Sf, Kf = _aggregate_forms(B)
-    terms = {0: complex(B.sigma)}
-    Z = Multivector(SIG13, terms, "complex") + Jf.to_complex()
-    Z = Z + Sf.to_complex() * (1j if imaginary_s else 1.0)
-    Z = Z + geometric_product(Kf.to_complex() * 1j, _TAU.to_complex())
-    Z = Z + _TAU.to_complex() * complex(-B.omega)
-    Zm = quantize_minkowski(Z, rep)
+    z, Zm = _aggregate(B, rep, imaginary_s)
     G0 = _gammas(rep)[0]
     boomerang_resid = np.abs(G0 @ Zm.conj().T @ G0 - Zm).max()
     scale = max(1.0, float(np.abs(Zm).max()))
-    return FierzAggregate(Z, bool(boomerang_resid <= tol * scale))
+    return FierzAggregate(Multivector.from_vector(SIG13, z, "complex"),
+                          bool(boomerang_resid <= tol * scale))
 
 
 def aggregate_residuals(B: BilinearSet, rep: str = "weyl") -> tuple:
     """The five sandwich identities Z P Z = 4 <P> Z, P running over the probes
     defining sigma, J, S, K, omega; exact for spinor-derived data, singular or not.
     """
-    Z = quantize_minkowski(fierz_aggregate(B, rep).Z, rep)
+    _, Z = _aggregate(B, rep)
     scale = max(1.0, float(np.abs(Z).max()) ** 2)
-    values = (B.sigma, *B.J, *B.S, *B.K, B.omega)
-    r = [
-        float(np.abs(Z @ probe @ Z - 4.0 * value * Z).max()) / scale
-        for probe, value in zip(_probes(rep), values)
-    ]
+    values = np.array((B.sigma, *B.J, *B.S, *B.K, B.omega))
+    r = np.abs(Z @ _probes(rep) @ Z - 4.0 * values[:, None, None] * Z).max(axis=(1, 2)) / scale
+    r = r.tolist()
     return r[0], max(r[1:5]), max(r[5:11]), max(r[11:15]), r[15]
 
 
@@ -347,8 +373,8 @@ def classify_lounesto(psi: DiracSpinor, tol: float = 1e-9):
     Regular spinors key on sigma/omega alone; singular ones on the S and K
     blocks.  Blocks count as nonzero above tol * (1 + |psi|^2).
     """
-    if tol <= 0:
-        raise InvalidInput("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInput("tolerance must be a positive finite number")
     B = bilinears(psi)
     threshold = tol * (1.0 + psi.norm_squared())
     nz = lambda block: max(abs(x) for x in block) > threshold
@@ -380,13 +406,18 @@ def change_representation(psi: DiracSpinor) -> DiracSpinor:
 # -- inversion -------------------------------------------------------------------
 
 
-def _default_eta(rep: str) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _default_etas(rep: str) -> np.ndarray:
+    """(5, 4) candidate reference spinors: the first nonzero column of the standard
+    idempotent, then the four canonical basis spinors (read-only)."""
     G = _gammas(rep)
     f = 0.25 * (np.eye(4, dtype=complex) + G[0]) @ (np.eye(4, dtype=complex) + 1j * G[1] @ G[2])
     for col in range(4):
         v = f[:, col]
         if np.abs(v).max() > 1e-12:
-            return v
+            etas = np.vstack((v, np.eye(4, dtype=complex)))
+            etas.flags.writeable = False
+            return etas
     raise ReconstructionFailed("degenerate default idempotent")
 
 
@@ -401,23 +432,15 @@ def reconstruct(B: BilinearSet, eta: DiracSpinor | None = None, rep: str = "weyl
     if eta is not None:
         rep = eta.rep
     G0 = _gammas(rep)[0]
-    Z = quantize_minkowski(fierz_aggregate(B, rep).Z, rep)
+    _, Z = _aggregate(B, rep)
     scale = max(1.0, float(np.abs(Z).max()))
 
-    candidates = []
-    if eta is not None:
-        candidates.append(eta.vector)
-    else:
-        candidates.append(_default_eta(rep))
-        candidates.extend(np.eye(4, dtype=complex)[:, i] for i in range(4))
-
-    best, best_val = None, 0.0
-    for cand in candidates:
-        val = complex(cand.conj() @ G0 @ Z @ cand)
-        if abs(val) > best_val:
-            best, best_val = cand, abs(val)
-            best_raw = val
-    if best is None or best_val <= tol * scale:
+    etas = _default_etas(rep) if eta is None else eta.vector[None]
+    rows = etas.conj() @ G0 @ Z
+    vals = (rows[:, None, :] @ etas[:, :, None]).ravel()  # etabar Z eta per candidate
+    pick = int(np.argmax(np.abs(vals)))  # the first candidate among equal maxima
+    best, best_raw = etas[pick], complex(vals[pick])
+    if abs(best_raw) <= tol * scale:
         raise ReconstructionFailed("etabar Z eta vanished for every candidate eta")
     if abs(best_raw.imag) > tol * scale or best_raw.real < 0:
         if best_raw.real < -tol * scale:

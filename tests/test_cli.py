@@ -134,6 +134,33 @@ class TestClassify:
         assert doc["label"] == 31 and doc["pattern"] == [True] * 5
 
 
+    @pytest.mark.parametrize("kind", ["dirac", "m8"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1", "0", "abc"])
+    def test_bad_tolerance_exits_1(self, run, tmp_path, kind, bad):
+        # nan/inf printed class "none" / label 0 with exit 0; -1 was replaced by 1e-12
+        doc = {"rep": "weyl", "components": [[1, 0], [0, 0], [1, 0], [0, 0]]}
+        f = write_json(tmp_path / "x.json", doc if kind == "dirac" else {"real": [1.0] * 16})
+        code, out, err = run("classify", kind, f, f"--tol={bad}")
+        assert code == 1 and out == "" and "--tol" in err
+
+    def test_tolerance_is_used(self, run, tmp_path):
+        f = write_json(tmp_path / "x.json", {"real": [1.0] * 16})
+        assert json.loads(run("classify", "m8", f, "--tol", "1e-9")[1])["label"] == 15
+        assert json.loads(run("classify", "m8", f, "--tol", "100")[1])["label"] == 0
+
+    @pytest.mark.parametrize(
+        "kind,doc",
+        [
+            ("dirac", {"rep": "weyl", "components": [["a", 0], [0, 0], [0, 0], [0, 0]]}),
+            ("dirac", {"rep": "weyl", "components": 5}),
+            ("m8", {"real": [0.0] * 16, "imag": 3}),
+        ],
+    )
+    def test_malformed_spinor_exits_1(self, run, tmp_path, kind, doc):
+        code, out, err = run("classify", kind, write_json(tmp_path / "x.json", doc))
+        assert code == 1 and out == "" and err.startswith("clif: ") and err.count("\n") == 1
+
+
 class TestVerify:
     def test_volume_exhaustive(self, run):
         code, out, _ = run("verify", "volume", "--trials", "0")

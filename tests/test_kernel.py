@@ -124,6 +124,19 @@ def test_dense_table_matches_geometric_product():
         assert approx_equal(got, _sparse_product(a, b), 1e-12)
 
 
+@pytest.mark.parametrize("p,q", [(1, 3), (3, 3), (8, 0)])
+def test_dense_table_wedge_matches_sparse_wedge(p, q):
+    rng = np.random.default_rng(29)
+    sig = Signature(p, q)
+    table = DenseTable(sig)
+    for complex_coeffs in (False, True):
+        a = random_terms(sig, rng, 1 << sig.n, complex_coeffs)
+        b = random_terms(sig, rng, 1 << sig.n, complex_coeffs)
+        got = table.to_multivector(table.wedge(table.to_vector(a), table.to_vector(b)))
+        assert got == wedge(a, b)
+        assert approx_equal(got, _sparse_wedge(a, b), 1e-12)
+
+
 @pytest.mark.parametrize("p,q", [(5, 4), (5, 5), (6, 6), (8, 8)])
 def test_above_table_limit_products_are_sparse(p, q):
     """n > DENSE_MAX_N: products take the sparse loop and build no table."""

@@ -219,6 +219,11 @@ class TestClassifyM8:
             assert classify_m8(-xi, xr) == base
             assert classify_m8(3.0 * xr, 3.0 * xi) == base
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_positive_finite(self, tol):
+        with pytest.raises(InvalidInput):
+            classify_m8(np.ones(16), np.zeros(16), tol)
+
     def test_label_is_binary_pattern(self):
         rng = np.random.default_rng(15)
         cls = classify_m8(rng.normal(size=16), rng.normal(size=16))
@@ -292,6 +297,22 @@ class TestJson:
         assert xr[0] == 1.0 and np.abs(xi).max() == 0.0
         with pytest.raises(InvalidInput):
             m8_spinor_from_json({"real": [1.0] * 15})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"real": [1.0] * 15 + ["x"]},
+            {"real": [1.0] * 16, "imag": 3},
+            {"real": [1.0] * 16, "imag": [None] * 16},
+            {"real": "1234567890123456"},
+            {"real": 5},
+            {"imag": [0.0] * 16},
+            [[1.0] * 16],
+        ],
+    )
+    def test_malformed_documents_raise_invalid_input(self, doc):
+        with pytest.raises(InvalidInput):
+            m8_spinor_from_json(doc)
 
     def test_flux_parse(self):
         doc = {

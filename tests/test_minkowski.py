@@ -198,6 +198,11 @@ class TestClassification:
             scaled = DiracSpinor("weyl", tuple(2.5 * phase * c for c in psi.components))
             assert classify_lounesto(scaled) == label
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_positive_finite(self, tol):
+        with pytest.raises(InvalidInput):
+            classify_lounesto(DiracSpinor("weyl", (1, 0, 1, 0)), tol)
+
     def test_representation_invariance(self):
         rng = np.random.default_rng(9)
         for _ in range(60):
@@ -291,3 +296,21 @@ class TestJson:
             spinor_from_json({"rep": "weyl", "components": [[1, 0]]})
         with pytest.raises(InvalidInput):
             spinor_from_json({"rep": "majorana", "components": [[1, 0]] * 4})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"rep": "weyl", "components": [["a", 0], [0, 0], [0, 0], [0, 0]]},
+            {"rep": "weyl", "components": [[0, None], [0, 0], [0, 0], [0, 0]]},
+            {"rep": "weyl", "components": [[10**400, 0], [0, 0], [0, 0], [0, 0]]},
+            {"rep": "weyl", "components": 5},
+            {"rep": "weyl", "components": "abcd"},
+            {"rep": "weyl", "components": [[1, 0], [0, 0], [0, 0], 7]},
+            {"rep": ["weyl"], "components": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+            ["weyl", [[1, 0]] * 4],
+        ],
+    )
+    def test_malformed_documents_raise_invalid_input(self, doc):
+        # these ended in a ValueError/TypeError traceback instead of exit 1
+        with pytest.raises(InvalidInput):
+            spinor_from_json(doc)
