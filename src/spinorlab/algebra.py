@@ -7,18 +7,19 @@ contracted indices.  Coefficients are double precision, real or complex, and
 stored sparsely with exact zeros pruned.
 
 Products take one of two routes, chosen from n and the operands' term counts
-only.  The sparse route loops over term pairs in Python and serves every
-n <= MAX_GENERATORS.  The dense route serves n <= DENSE_MAX_N = 8 when
-|a|*|b| >= k * 2^n (k = 1 for the geometric product, 4 for the wedge, whose
-sparse loop skips overlapping pairs cheaply): it multiplies coefficient
-vectors through the signature's blade tables, out = va @ (vb[idx] * T) with
-idx[a, k] = a ^ k and T[a, k] the sign of e_a e_{a^k} (wedge: zero where the
-blades overlap).  The tables are built once per signature in one vectorised
-pass and stored as uint8 index and int8 signs, 3 * 4^n bytes: 192 KiB at
-n = 8.  DenseTable reads the same tables up to n = 10 (uint16 index, 4 MiB),
-and so do the stacked routes: stack_products forms every product of two
-coefficient stacks in a few blocked contractions, and blade_images gathers the
-blade multiples e_M v and v e_M without forming a product.
+only.  The sparse route is one loop over term pairs in Python under a blade
+rule (product or wedge) and serves every n <= MAX_GENERATORS.  The dense route
+serves n <= DENSE_MAX_N = 8 when |a|*|b| >= k * 2^n (k = 1 for the geometric
+product, 4 for the wedge, whose sparse loop skips overlapping pairs cheaply):
+it contracts coefficient vectors through the signature's blade tables,
+out[c] = sum_r va[r] vb[r ^ c] T[r, c] with T[r, c] the sign of e_r e_{r^c}
+(wedge: zero where the blades overlap).  The tables are built once per
+signature in one vectorised pass and stored as uint8 index and int8 signs,
+3 * 4^n bytes: 192 KiB at n = 8; they exist up to n = 10 (uint16 index,
+4 MiB).  One blocked contraction serves vectors and stacks alike: the dense
+route, DenseTable, and stack_products, which forms every product of two
+coefficient stacks at once.  blade_images gathers the blade multiples e_M v
+and v e_M without forming a product.
 The two routes agree to rounding on finite coefficients; the JSON decoder
 rejects non-finite ones.
 """
@@ -36,7 +37,7 @@ from .errors import InvalidInput, SignatureMismatch
 
 MAX_GENERATORS = 16
 DENSE_MAX_N = 8  # products take the table route only up to here
-DENSE_TABLE_MAX_N = 10  # largest signature DenseTable accepts
+DENSE_TABLE_MAX_N = 10  # largest signature with blade tables (DenseTable, stacks)
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,8 @@ def _blade_product(mask_a: int, mask_b: int, metric: tuple[int, ...]) -> tuple[i
     return sign, mask_a ^ mask_b
 
 
-def _blade_wedge(mask_a: int, mask_b: int) -> tuple[int, int]:
-    """Exterior product of unit blades: 0 on shared indices, else signed union."""
+def _blade_wedge(mask_a: int, mask_b: int, metric=None) -> tuple[int, int]:
+    """Exterior product of unit blades: 0 on shared indices, else signed union (metric-free)."""
     if mask_a & mask_b:
         return 0, 0
     sign = -1 if _count_swaps(mask_a, mask_b) & 1 else 1
@@ -129,7 +130,10 @@ def _blade_tables(sig: Signature) -> tuple:
     parity, swaps(a, b) + |a & b & negative generators|, is bilinear over GF(2)
     in (a, b): it equals |b & H(a)| with H(a) = (a >> 1) ^ (a >> 2) ^ ... ^
     (a & negative generators), so one bitwise_count over the table gives it.
+    Tables stop at n = DENSE_TABLE_MAX_N (a 16-bit index, 4 MiB).
     """
+    if sig.n > DENSE_TABLE_MAX_N:
+        raise InvalidInput(f"blade tables limited to n <= {DENSE_TABLE_MAX_N}")
     dim = 1 << sig.n
     a = np.arange(dim, dtype=np.uint8 if sig.n <= 8 else np.uint16)
     h = a & a.dtype.type((dim - 1) ^ ((1 << sig.p) - 1))
@@ -143,25 +147,29 @@ def _blade_tables(sig: Signature) -> tuple:
     return idx, G, W
 
 
-_GATHER_ENTRIES = 1 << 14  # table entries per gather: bounds the temporary at 128 KiB of float64
+_GATHER_ENTRIES = 1 << 14  # entries gathered per block: bounds the temporary at 128 KiB of float64
 
 
-def _table_product(va: np.ndarray, vb: np.ndarray, idx: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """out[k] = sum_a va[a] vb[a ^ k] table[a, k], taken a block of rows a at a time."""
-    step = max(1, _GATHER_ENTRIES // len(vb))
+def _contract(a: np.ndarray, b: np.ndarray, idx: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """out[..., c] = sum_r a[..., r] b[..., r ^ c] table[r, c], a block of rows r at a time.
+
+    a and b are coefficient vectors or (count, 2^n) stacks, real or complex; for
+    stacks A (m rows) and B (k rows) the result is out[j, i, c], the product
+    A[i] B[j].  Each block gathers b[..., idx[rows]] for as many rows as keep
+    the temporary near _GATHER_ENTRIES entries (at least one row, b.size
+    entries), whatever the stacks' heights are.
+    """
+    step = max(1, _GATHER_ENTRIES // max(1, b.size))
     out = None
-    for r in range(0, len(va), step):
-        x = vb[idx[r : r + step]]
+    for r in range(0, len(idx), step):
+        x = b[..., idx[r : r + step]]  # x[..., a, c] = b[..., a ^ c]
         x *= table[r : r + step]
-        part = va[r : r + step] @ x
-        out = part if out is None else out + part
+        part = a[..., r : r + step] @ x
+        if out is None:
+            out = part
+        else:
+            out += part
     return out
-
-
-def _stack_tables(sig: Signature) -> tuple:
-    if sig.n > DENSE_TABLE_MAX_N:
-        raise InvalidInput(f"blade-table stacks limited to n <= {DENSE_TABLE_MAX_N}")
-    return _blade_tables(sig)
 
 
 def blade_images(sig: Signature, v, masks=slice(None)) -> tuple:
@@ -170,7 +178,7 @@ def blade_images(sig: Signature, v, masks=slice(None)) -> tuple:
     (e_M v)[c] = v[M ^ c] G[M, c] and (v e_M)[c] = v[M ^ c] G[M ^ c, c]: both
     read v's coefficients and the sign table; no product is formed.
     """
-    idx, G, _ = _stack_tables(sig)
+    idx, G, _ = _blade_tables(sig)
     rows = idx[masks]
     gathered = np.asarray(v)[rows]
     return gathered * G[masks], gathered * np.take_along_axis(G, rows, axis=0)
@@ -181,33 +189,13 @@ def stack_products(sig: Signature, A, B) -> np.ndarray:
 
     A is (m, 2^n) and B is (k, 2^n), real or complex, indexed by blade mask; the
     result is the (m, k, 2^n) array out[i, j, c] = sum_a A[i, a] B[j, a ^ c] G[a, c].
-    B is gathered a block of rows a at a time, so the temporary stays near
-    _GATHER_ENTRIES entries (at least k * 2^n) whatever m and k are.
     """
-    idx, G, _ = _stack_tables(sig)
+    idx, G, _ = _blade_tables(sig)
     dim = 1 << sig.n
     A, B = np.asarray(A), np.asarray(B)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != dim or B.shape[1] != dim:
         raise InvalidInput(f"coefficient stacks of {sig} must be (count, {dim}) arrays")
-    dtype = np.result_type(A, B, np.float64)
-    step = max(1, _GATHER_ENTRIES // max(1, len(B) * dim))
-    out = None  # out[j, i, c]: each block is one stacked matmul
-    for r in range(0, dim, step):
-        x = B[:, idx[r : r + step]].astype(dtype, copy=False)  # x[j, a, c] = B[j, a ^ c]
-        x *= G[r : r + step]
-        part = A[:, r : r + step] @ x
-        if out is None:
-            out = part
-        else:
-            out += part
-    return out.transpose(1, 0, 2)
-
-
-def _to_vector(mv: "Multivector", dtype) -> np.ndarray:
-    v = np.zeros(1 << mv.sig.n, dtype=dtype)
-    count = len(mv.terms)
-    v[np.fromiter(mv.terms, np.intp, count)] = np.fromiter(mv.terms.values(), dtype, count)
-    return v
+    return _contract(A, B, idx, G).transpose(1, 0, 2)
 
 
 class Multivector:
@@ -294,7 +282,11 @@ class Multivector:
 
     def to_vector(self) -> np.ndarray:
         """Dense coefficient vector indexed by blade mask (complex128 for the complex field)."""
-        return _to_vector(self, np.complex128 if self.field == "complex" else np.float64)
+        dtype = np.complex128 if self.field == "complex" else np.float64
+        v = np.zeros(1 << self.sig.n, dtype=dtype)
+        count = len(self.terms)
+        v[np.fromiter(self.terms, np.intp, count)] = np.fromiter(self.terms.values(), dtype, count)
+        return v
 
     def is_homogeneous(self) -> bool:
         return len(self.grades()) <= 1
@@ -465,31 +457,20 @@ def _dense(a: Multivector, b: Multivector, multiple: int) -> bool:
 
 
 def _dense_apply(a: Multivector, b: Multivector, idx: np.ndarray, table: np.ndarray) -> Multivector:
-    field = "complex" if "complex" in (a.field, b.field) else "real"
-    dtype = np.complex128 if field == "complex" else np.float64
-    out = _table_product(_to_vector(a, dtype), _to_vector(b, dtype), idx, table)
+    out = _contract(a.to_vector(), b.to_vector(), idx, table)  # real meets complex in the matmul
+    field = "complex" if out.dtype.kind == "c" else "real"
     nz = np.flatnonzero(out)
     return Multivector._trusted(a.sig, dict(zip(nz.tolist(), out[nz].tolist())), field)
 
 
-def _sparse_product(a: Multivector, b: Multivector) -> Multivector:
+def _sparse_product(a: Multivector, b: Multivector, rule) -> Multivector:
+    """Term-pair loop under a blade rule (_blade_product or _blade_wedge)."""
     metric = a.sig.metric_tuple()
     field = "complex" if "complex" in (a.field, b.field) else "real"
     out: dict = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
-            coef, mask = _blade_product(ma, mb, metric)
-            if coef:
-                out[mask] = out.get(mask, 0) + coef * ca * cb
-    return Multivector(a.sig, out, field)
-
-
-def _sparse_wedge(a: Multivector, b: Multivector) -> Multivector:
-    field = "complex" if "complex" in (a.field, b.field) else "real"
-    out: dict = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            coef, mask = _blade_wedge(ma, mb)
+            coef, mask = rule(ma, mb, metric)
             if coef:
                 out[mask] = out.get(mask, 0) + coef * ca * cb
     return Multivector(a.sig, out, field)
@@ -501,7 +482,7 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     if _dense(a, b, 1):
         idx, G, _ = _blade_tables(a.sig)
         return _dense_apply(a, b, idx, G)
-    return _sparse_product(a, b)
+    return _sparse_product(a, b, _blade_product)
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
@@ -510,7 +491,7 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
     if _dense(a, b, 4):
         idx, _, W = _blade_tables(a.sig)
         return _dense_apply(a, b, idx, W)
-    return _sparse_wedge(a, b)
+    return _sparse_product(a, b, _blade_wedge)
 
 
 def frame_contraction(i: int, b: Multivector) -> Multivector:
@@ -663,24 +644,16 @@ class DenseTable:
     """Full multiplication table of one signature: a view on its blade tables."""
 
     def __init__(self, sig: Signature):
-        if sig.n > DENSE_TABLE_MAX_N:
-            raise InvalidInput(f"dense table limited to n <= {DENSE_TABLE_MAX_N}")
         self.sig = sig
         self.dim = 1 << sig.n
         self._idx, self._sign, self._wedge = _blade_tables(sig)
 
     def product(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-        return _table_product(va, vb, self._idx, self._sign)
+        return _contract(va, vb, self._idx, self._sign)
 
     def wedge(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
         """Exterior product of two coefficient vectors through the wedge sign table."""
-        return _table_product(va, vb, self._idx, self._wedge)
-
-    def to_vector(self, mv: Multivector) -> np.ndarray:
-        return mv.to_vector()
-
-    def to_multivector(self, v: np.ndarray, field: str | None = None) -> Multivector:
-        return Multivector.from_vector(self.sig, v, field)
+        return _contract(va, vb, self._idx, self._wedge)
 
 
 @lru_cache(maxsize=8)

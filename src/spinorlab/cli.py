@@ -1,10 +1,11 @@
 """Command line front end: clif product | table | classify | verify | reconstruct | rep.
 
-Exit codes: 0 success, 1 invalid input (stdout empty, diagnostics on stderr),
-2 verification or reconstruction failure (stdout still valid JSON).  All
-randomness flows through a single generator seeded by --seed (default 0);
+Exit codes: 0 success, 1 invalid input (stdout empty, one diagnostic line on
+stderr; usage errors such as a missing argument or an unknown subcommand
+included), 2 verification or reconstruction failure (stdout still valid JSON).
+All randomness flows through a single generator seeded by --seed (default 0);
 CLIF_TOL overrides the default tolerance of 1e-10.  Both CLIF_TOL and
-`classify --tol` must be positive finite numbers.
+`classify --tol` must be positive finite numbers; they are used as given.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import io as sio
 from .algebra import Multivector, Signature, basis_blade, geometric_product
 from .errors import CliffordError, InvalidInput, ReconstructionFailed
 from .groups import membership, metric_matrix, rotor_exp, versor_to_matrix
-from .m8 import classify_m8, complexified_bilinears, fierz_identity_residual
+from .m8 import SURVIVING_GRADES, classify_m8, fierz_identity_residual
 from .minkowski import DiracSpinor, bilinears, classify_lounesto, fpk_residuals, reconstruct
 from .structure import truncated_product, projector_pm, truncate, volume_form, volume_square_sign
 from .tables import classify_complex, classify_real, spinor_space
@@ -98,7 +99,7 @@ def cmd_classify(args) -> int:
     doc = _load_json(args.file)
     if args.kind == "dirac":
         psi = sio.spinor_from_json(doc)
-        label = classify_lounesto(psi, max(tol, 1e-12))
+        label = classify_lounesto(psi, tol)
         B = bilinears(psi)
         report = fpk_residuals(B)
         _emit(
@@ -110,10 +111,8 @@ def cmd_classify(args) -> int:
         )
         return 0
     xr, xi = sio.m8_spinor_from_json(doc)
-    cls = classify_m8(xr, xi, max(tol, 1e-12))
-    norms = {
-        f"E{k}": complexified_bilinears(xr, xi, k).norm_inf() for k in (0, 1, 4, 5, 8)
-    }
+    cls = classify_m8(xr, xi, tol)
+    norms = {f"E{k}": top for k, top in zip(SURVIVING_GRADES, cls.maxima)}
     _emit({"pattern": list(cls.pattern), "label": cls.label, "bilinears": norms})
     return 0
 
@@ -303,8 +302,16 @@ def cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InvalidInput, so they exit 1 like any other invalid input;
+    subparsers are built from the same class."""
+
+    def error(self, message):
+        raise InvalidInput(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="clif", description=__doc__)
+    parser = _Parser(prog="clif", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_prod = sub.add_parser("product", help="geometric product of two multivector files")

@@ -109,8 +109,8 @@ def fierz_identity_residual(x1, x2, x3, x4) -> float:
     table = dense_table(SIG80)
     e12, e34 = fierz_polyform(x1, x2), fierz_polyform(x3, x4)
     e14 = fierz_polyform(x1, x4)
-    prod_vec = table.product(table.to_vector(e12), table.to_vector(e34))
-    target = table.to_vector(e14) * pairing(x3, x2)
+    prod_vec = table.product(e12.to_vector(), e34.to_vector())
+    target = e14.to_vector() * pairing(x3, x2)
     norm = max(1.0, float(np.abs(prod_vec).max()), float(np.abs(target).max()))
     resid_form = float(np.abs(prod_vec - target).max()) / norm
 
@@ -119,7 +119,7 @@ def fierz_identity_residual(x1, x2, x3, x4) -> float:
     mat_norm = max(1.0, float(np.abs(mat_target).max()))
     resid_mat = float(np.abs(m12 @ m34 - mat_target).max()) / mat_norm
 
-    bridge = float(np.abs(quantize(table.to_multivector(prod_vec)) - m12 @ m34).max()) / mat_norm
+    bridge = float(np.abs(quantize(Multivector.from_vector(SIG80, prod_vec)) - m12 @ m34).max()) / mat_norm
     return float(np.max([resid_form, resid_mat, bridge]))  # np.max keeps a NaN wherever it sits
 
 
@@ -139,8 +139,12 @@ def complexified_bilinears(xR, xI, k: int) -> Multivector:
 
 @dataclass(frozen=True)
 class M8Class:
+    """Zero pattern and label; `maxima` holds the per-grade largest |covariant| the
+    pattern was decided on (grades 0,1,4,5,8) and takes no part in equality."""
+
     pattern: tuple
     label: int
+    maxima: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         if len(self.pattern) != 5:
@@ -161,9 +165,10 @@ def classify_m8(xR, xI, tol: float = 1e-10) -> M8Class:
     z = xr + 1j * xi
     # |B(z, gamma_M z)| on every surviving blade M: complexified_bilinears of all five grades
     mags = np.abs(CL8.pairings(z, z, _SURVIVING_MASKS))
-    flags = (np.maximum.reduceat(mags, _SURVIVING_STARTS) > tol * scale).tolist()
+    maxima = np.maximum.reduceat(mags, _SURVIVING_STARTS)
+    flags = (maxima > tol * scale).tolist()
     label = sum(1 << i for i, f in enumerate(flags) if f)
-    return M8Class(tuple(flags), label)
+    return M8Class(tuple(flags), label, tuple(maxima.tolist()))
 
 
 # -- algebraic constraints -------------------------------------------------------
@@ -270,9 +275,9 @@ def cgk_residual(Q: np.ndarray, x, y) -> float:
     imply the other.
     """
     table = dense_table(SIG80)
-    q_form = table.to_vector(dequantize(np.asarray(Q, dtype=float)))
-    exy = table.to_vector(fierz_polyform(x, y))
-    eyx = table.to_vector(fierz_polyform(y, x))
+    q_form = dequantize(np.asarray(Q, dtype=float)).to_vector()
+    exy = fierz_polyform(x, y).to_vector()
+    eyx = fierz_polyform(y, x).to_vector()
     scale = max(1.0, float(np.abs(exy).max()) * max(1.0, float(np.abs(q_form).max())))
     left = float(np.abs(table.product(exy, q_form)).max())
     right = float(np.abs(table.product(q_form, eyx)).max())

@@ -168,22 +168,27 @@ class RelationReport:
 
 
 def check_clifford_relations(rep: RepBundle, tol: float = 1e-12) -> RelationReport:
-    """Max-abs entry of gamma_i gamma_j + gamma_j gamma_i - 2 g_ij I over all pairs."""
+    """Max-abs entry of gamma_i gamma_j + gamma_j gamma_i - 2 g_ij I over all pairs.
+
+    worst_pair is the first (i, j) in row-major order holding that maximum,
+    (0, 0) when every residual is 0; a NaN entry is reported as NaN, at the
+    first pair that holds one.
+    """
     if not rep.gammas:
         raise InvalidInput("bundle has no gamma matrices")
     dim = rep.gammas[0].shape[0]
     if any(g.shape != (dim, dim) for g in rep.gammas):
         raise InvalidInput("gamma matrices of mixed dimensions")
-    metric = rep.sig.metric_tuple()
-    eye = np.eye(dim)
-    worst, worst_pair = 0.0, (0, 0)
-    for i, gi in enumerate(rep.gammas):
-        for j, gj in enumerate(rep.gammas):
-            target = 2.0 * metric[i] * eye if i == j else 0.0 * eye
-            res = np.abs(gi @ gj + gj @ gi - target).max()
-            if res > worst:
-                worst, worst_pair = res, (i + 1, j + 1)
-    return RelationReport(float(worst), worst_pair)
+    n = len(rep.gammas)
+    G = np.stack(rep.gammas)
+    prods = G[:, None] @ G[None]  # gamma_i gamma_j at [i, j]
+    anti = prods + prods.transpose(1, 0, 2, 3)
+    anti[range(n), range(n)] -= 2.0 * np.array(rep.sig.metric_tuple())[:, None, None] * np.eye(dim)
+    res = np.abs(anti).max(axis=(2, 3))
+    # argmax takes the first NaN, else the first largest residual in row-major order
+    i, j = divmod(int(np.argmax(res)), n)
+    worst = float(res[i, j])
+    return RelationReport(worst, (i + 1, j + 1) if worst != 0.0 else (0, 0))
 
 
 # Integer part of the Dirac<->Weyl change of basis: S = M / sqrt(2), S^-1 = S.
@@ -229,9 +234,14 @@ class IdempotentRep:
         cols = np.array([e.to_vector() for e in self.Ecol])
         return rows, cols, self.f[0].to_vector()
 
-    def _entries(self, prods: np.ndarray, tol: float) -> np.ndarray:
-        """Matrix entries lam with E_1a x E_b1 = lam f1, read from (..., a, b, 2^n) products."""
-        lam, resid, bad = _multiples(prods, self._stacks[2], self._f1_scalar, tol)
+    def _matrices_of(self, X: np.ndarray, tol: float) -> np.ndarray:
+        """(k, size, size) matrices of the rows x of a (k, 2^n) coefficient stack:
+        entry (a, b) is the lam with E_1a x E_b1 = lam f1, from two batched products."""
+        rows, cols, f1v = self._stacks
+        k, dim = X.shape
+        left = stack_products(self.sig, rows, X).reshape(-1, dim)  # E_1a X[i] at a * k + i
+        prods = stack_products(self.sig, left, cols).reshape(self.size, k, self.size, dim)
+        lam, resid, bad = _multiples(prods.transpose(1, 0, 2, 3), f1v, self._f1_scalar, tol)
         if len(bad):
             a, b = bad[0][-2:]
             raise UnsupportedDivisionRing(
@@ -242,17 +252,11 @@ class IdempotentRep:
     def matrix_of(self, x: Multivector, tol: float = 1e-9) -> np.ndarray:
         if x.sig != self.sig:
             raise SignatureMismatch(f"{x.sig} vs {self.sig}")
-        rows, cols, _ = self._stacks
-        left = stack_products(self.sig, rows, x.to_vector()[None])[:, 0]  # E_1a x
-        return self._entries(stack_products(self.sig, left, cols), tol)
+        return self._matrices_of(x.to_vector()[None], tol)[0]
 
     def gamma_matrices(self, tol: float = 1e-9) -> list:
         n, dim = self.sig.n, 1 << self.sig.n
-        rows, cols, _ = self._stacks
-        gens = np.eye(dim)[1 << np.arange(n)]
-        left = stack_products(self.sig, rows, gens).reshape(-1, dim)  # E_1a e_i at a * n + i
-        prods = stack_products(self.sig, left, cols).reshape(self.size, n, self.size, dim)
-        return list(self._entries(prods.transpose(1, 0, 2, 3), tol))
+        return list(self._matrices_of(np.eye(dim)[1 << np.arange(n)], tol))
 
 
 def _ideal_basis_rows(images: np.ndarray, tol: float = 1e-9) -> list:

@@ -3,6 +3,7 @@ reached through the command path rather than the library path."""
 
 import json
 
+import numpy as np
 import pytest
 
 from spinorlab.cli import main
@@ -148,6 +149,28 @@ class TestClassify:
         assert json.loads(run("classify", "m8", f, "--tol", "1e-9")[1])["label"] == 15
         assert json.loads(run("classify", "m8", f, "--tol", "100")[1])["label"] == 0
 
+    def test_tolerance_below_1e12_is_used_as_given(self, run, tmp_path):
+        # sigma and omega are ~1e-14 here: 1e-30 leaves them nonzero (class 1)
+        from spinorlab.minkowski import DiracSpinor, classify_lounesto
+
+        psi = DiracSpinor("weyl", (1, 0, 1 + 1e-14j, 0))
+        doc = {"rep": "weyl", "components": [[1, 0], [0, 0], [1, 1e-14], [0, 0]]}
+        code, out, _ = run("classify", "dirac", write_json(tmp_path / "x.json", doc), "--tol", "1e-30")
+        assert code == 0
+        assert json.loads(out)["class"] == classify_lounesto(psi, 1e-30) == 1
+
+    def test_m8_bilinears_are_the_classified_maxima(self, run, tmp_path):
+        from spinorlab.m8 import classify_m8
+
+        rng = np.random.default_rng(18)
+        xr, xi = rng.normal(size=16), rng.normal(size=16)
+        f = write_json(tmp_path / "z.json", {"real": xr.tolist(), "imag": xi.tolist()})
+        code, out, _ = run("classify", "m8", f)
+        cls = classify_m8(xr, xi, 1e-10)
+        assert code == 0 and json.loads(out)["bilinears"] == {
+            f"E{k}": top for k, top in zip((0, 1, 4, 5, 8), cls.maxima)
+        }
+
     @pytest.mark.parametrize(
         "kind,doc",
         [
@@ -288,6 +311,31 @@ class TestRep:
         assert code == 0 and doc["dim"] == 4 and len(doc["gammas"]) == 4
         g0 = doc["gammas"][0]
         assert g0["re"][2] == 1.0  # off-diagonal identity block
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "dirac", "f", "--tol", "-inf"),
+            ("verify", "fpk"),
+            (),
+            ("frobnicate",),
+            ("verify", "fpk", "--trials", "many"),
+        ],
+        ids=["tol-minus-inf", "missing-trials", "bare", "unknown-command", "bad-int"],
+    )
+    def test_usage_errors_exit_1(self, run, argv):
+        code, out, err = run(*argv)
+        assert code == 1 and out == "" and err.startswith("clif: ") and err.count("\n") == 1
+
+    def test_help_exits_0(self, run):
+        with pytest.raises(SystemExit) as exc:
+            run("--help")
+        assert exc.value.code == 0
+        with pytest.raises(SystemExit) as exc:
+            run("verify", "--help")
+        assert exc.value.code == 0
 
 
 class TestExitCodeContract:

@@ -19,7 +19,6 @@ from spinorlab.algebra import (
     _dense,
     _dense_apply,
     _sparse_product,
-    _sparse_wedge,
     approx_equal,
     dense_table,
     geometric_product,
@@ -71,19 +70,37 @@ def test_dense_and_sparse_routes_agree(complex_coeffs):
     for sig in (Signature(2, 1), Signature(3, 3), Signature(1, 5), Signature(4, 3), Signature(5, 3)):
         dim = 1 << sig.n
         idx, G, W = _blade_tables(sig)
-        for multiple, table, sparse, public in ((1, G, _sparse_product, geometric_product), (4, W, _sparse_wedge, wedge)):
+        for multiple, table, rule, public in ((1, G, _blade_product, geometric_product), (4, W, _blade_wedge, wedge)):
             switch = multiple * dim
             # term counts just below, at and above the switch point
             for count_a, count_b in ((1, switch - 1), (2, switch // 2), (4, switch // 2)):
                 count_a, count_b = min(count_a, dim), min(count_b, dim)
                 a = random_terms(sig, rng, count_a, complex_coeffs)
                 b = random_terms(sig, rng, count_b, complex_coeffs)
-                dense, slow = _dense_apply(a, b, idx, table), sparse(a, b)
+                dense, slow = _dense_apply(a, b, idx, table), _sparse_product(a, b, rule)
                 assert approx_equal(dense, slow, 1e-12), (sig, count_a, count_b)
                 assert dense.field == slow.field
                 routed = _dense(a, b, multiple)
                 assert routed == (count_a * count_b >= switch)
                 assert public(a, b) == (dense if routed else slow)
+
+
+def test_dense_route_mixes_real_and_complex():
+    """A real operand meets a complex one in the contraction, as if cast first."""
+    rng = np.random.default_rng(27)
+    for sig in (Signature(3, 3), Signature(8, 0)):
+        dim = 1 << sig.n
+        idx, G, W = _blade_tables(sig)
+        table = DenseTable(sig)
+        for real_first in (True, False):
+            a = random_terms(sig, rng, dim, complex_coeffs=not real_first)
+            b = random_terms(sig, rng, dim, complex_coeffs=real_first)
+            for sign, rule, apply in ((G, _blade_product, table.product), (W, _blade_wedge, table.wedge)):
+                dense = _dense_apply(a, b, idx, sign)
+                assert dense.field == "complex"
+                assert approx_equal(dense, _sparse_product(a, b, rule), 1e-12), sig
+                cast = apply(a.to_complex().to_vector(), b.to_complex().to_vector())
+                assert np.array_equal(apply(a.to_vector(), b.to_vector()), cast), sig
 
 
 def _wedge_oracle(a, b):
@@ -119,9 +136,9 @@ def test_dense_table_matches_geometric_product():
     for complex_coeffs in (False, True):
         a = random_terms(sig, rng, 256, complex_coeffs)
         b = random_terms(sig, rng, 256, complex_coeffs)
-        got = table.to_multivector(table.product(table.to_vector(a), table.to_vector(b)))
+        got = Multivector.from_vector(sig, table.product(a.to_vector(), b.to_vector()))
         assert got == geometric_product(a, b)
-        assert approx_equal(got, _sparse_product(a, b), 1e-12)
+        assert approx_equal(got, _sparse_product(a, b, _blade_product), 1e-12)
 
 
 @pytest.mark.parametrize("p,q", [(1, 3), (3, 3), (8, 0)])
@@ -132,9 +149,9 @@ def test_dense_table_wedge_matches_sparse_wedge(p, q):
     for complex_coeffs in (False, True):
         a = random_terms(sig, rng, 1 << sig.n, complex_coeffs)
         b = random_terms(sig, rng, 1 << sig.n, complex_coeffs)
-        got = table.to_multivector(table.wedge(table.to_vector(a), table.to_vector(b)))
+        got = Multivector.from_vector(sig, table.wedge(a.to_vector(), b.to_vector()))
         assert got == wedge(a, b)
-        assert approx_equal(got, _sparse_wedge(a, b), 1e-12)
+        assert approx_equal(got, _sparse_product(a, b, _blade_wedge), 1e-12)
 
 
 @pytest.mark.parametrize("p,q", [(5, 4), (5, 5), (6, 6), (8, 8)])
@@ -177,5 +194,5 @@ def test_dense_table_limit():
     assert table._idx.dtype == np.uint16
     rng = np.random.default_rng(26)
     a, b = random_terms(sig, rng, 5), random_terms(sig, rng, 5)
-    got = table.to_multivector(table.product(table.to_vector(a), table.to_vector(b)))
+    got = Multivector.from_vector(sig, table.product(a.to_vector(), b.to_vector()))
     assert approx_equal(got, geometric_product(a, b), 1e-12)

@@ -9,7 +9,9 @@ from spinorlab.errors import InvalidInput, UnsupportedSignature
 from spinorlab.io import flux_from_json, m8_spinor_from_json
 from spinorlab.m8 import (
     SIG80,
+    SURVIVING_GRADES,
     FluxData,
+    M8Class,
     build_constraint_operator,
     cgk_residual,
     chirality,
@@ -161,7 +163,7 @@ class TestFierz:
 
         table = dense_table(SIG80)
         prod = table.product(
-            table.to_vector(fierz_polyform(x1, x2)), table.to_vector(fierz_polyform(x3, x4))
+            fierz_polyform(x1, x2).to_vector(), fierz_polyform(x3, x4).to_vector()
         )
         assert np.abs(prod).max() <= 1e-12 * (1 + np.abs(x1).max() * np.abs(x4).max())
 
@@ -228,6 +230,40 @@ class TestClassifyM8:
         rng = np.random.default_rng(15)
         cls = classify_m8(rng.normal(size=16), rng.normal(size=16))
         assert cls.label == sum(1 << i for i, f in enumerate(cls.pattern) if f)
+
+    @staticmethod
+    def _per_grade_maxima(xr, xi):
+        return [complexified_bilinears(xr, xi, k).norm_inf() for k in SURVIVING_GRADES]
+
+    def test_maxima_match_per_grade_covariants(self):
+        rng = np.random.default_rng(16)
+        inputs = [(rng.normal(size=16), rng.normal(size=16)) for _ in range(20)]
+        inputs += [(rng.normal(size=16), np.zeros(16)), (chirality_eigenspinor(+1), np.zeros(16))]
+        for xr, xi in inputs:
+            cls = classify_m8(xr, xi)
+            assert len(cls.maxima) == len(SURVIVING_GRADES)
+            for got, want in zip(cls.maxima, self._per_grade_maxima(xr, xi)):
+                assert abs(got - want) <= 1e-13 * max(want, 1e-300)
+            assert cls.pattern == tuple(m > 1e-10 * (1 + xr @ xr + xi @ xi) for m in cls.maxima)
+
+    def test_grade_five_maximum_on_its_first_blade(self):
+        # The largest grade-5 covariant sits on e12345 (mask 0b11111), the first
+        # grade-5 blade, and exceeds every grade-4 one: a grade boundary placed one
+        # blade late moves it into grade 4 and changes both maxima.
+        rng = np.random.default_rng(50)
+        xr, xi = rng.normal(size=16), rng.normal(size=16)
+        g5 = complexified_bilinears(xr, xi, 5)
+        assert max(g5.terms, key=lambda m: abs(g5.terms[m])) == 0b11111
+        assert g5.norm_inf() > complexified_bilinears(xr, xi, 4).norm_inf()
+        cls = classify_m8(xr, xi)
+        for got, want in zip(cls.maxima, self._per_grade_maxima(xr, xi)):
+            assert abs(got - want) <= 1e-13 * want
+
+    def test_maxima_take_no_part_in_equality(self):
+        cls = classify_m8(np.ones(16), np.zeros(16))
+        assert cls == M8Class(cls.pattern, cls.label)
+        assert hash(cls) == hash(M8Class(cls.pattern, cls.label))
+        assert M8Class(cls.pattern, cls.label).maxima == ()
 
 
 class TestConstraints:

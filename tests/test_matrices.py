@@ -15,6 +15,23 @@ from spinorlab.matrices import (
 )
 
 
+def _pairwise_report(sig, gammas):
+    """One anticommutator at a time: the first pair in row-major order holding a
+    NaN, else the first holding the largest residual, else (0, 0)."""
+    metric = sig.metric_tuple()
+    eye = np.eye(len(gammas[0]))
+    worst, pair = 0.0, (0, 0)
+    for i, gi in enumerate(gammas):
+        for j, gj in enumerate(gammas):
+            target = 2.0 * metric[i] * eye if i == j else 0.0 * eye
+            res = float(np.abs(gi @ gj + gj @ gi - target).max())
+            if np.isnan(res):
+                return res, (i + 1, j + 1)
+            if res > worst:
+                worst, pair = res, (i + 1, j + 1)
+    return worst, pair
+
+
 class TestBuiltinBundles:
     @pytest.mark.parametrize("name", ["pauli", "dirac", "weyl", "cl8"])
     def test_relations_exact(self, name):
@@ -51,6 +68,36 @@ class TestBuiltinBundles:
         report = check_clifford_relations(bad)
         assert report.max_residual == 6.0
         assert report.worst_pair == (2, 2)
+
+    def test_nan_entry_is_reported(self):
+        # a NaN in gamma_3 must not read as a zero residual
+        rep = builtin_gammas("dirac")
+        gammas = [g.copy() for g in rep.gammas]
+        gammas[3][0, 0] = np.nan
+        from spinorlab.matrices import RepBundle
+
+        report = check_clifford_relations(RepBundle(rep.sig, rep.dim, rep.field_tag, gammas))
+        assert np.isnan(report.max_residual)
+        assert report.worst_pair == (1, 4) == _pairwise_report(rep.sig, gammas)[1]
+
+    @pytest.mark.parametrize("name", ["pauli", "dirac", "weyl", "cl8"])
+    def test_matches_the_pairwise_scan(self, name):
+        # worst residual and its first pair in row-major order, ties included
+        from spinorlab.matrices import RepBundle
+
+        rep = builtin_gammas(name)
+        rng = np.random.default_rng(17)
+        for trial in range(12):
+            gammas = [g.copy() for g in rep.gammas]
+            k = int(rng.integers(len(gammas)))
+            if trial % 3 == 0:
+                gammas[k] = 2.0 * gammas[k]
+            elif trial % 3 == 1:
+                gammas[k] = gammas[k] + 1e-9 * rng.normal(size=gammas[k].shape)
+            else:
+                gammas[k] = gammas[(k + 1) % len(gammas)].copy()
+            report = check_clifford_relations(RepBundle(rep.sig, rep.dim, rep.field_tag, gammas))
+            assert (report.max_residual, report.worst_pair) == _pairwise_report(rep.sig, gammas)
 
     def test_unknown_bundle(self):
         with pytest.raises(InvalidInput):
