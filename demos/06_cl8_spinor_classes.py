@@ -1,5 +1,5 @@
-"""Cl(8,0) spinor bilinears, the Fierz isomorphism, the 33-class zero-pattern
-classification, and spinors annihilated by an algebraic flux constraint.
+"""Cl(8,0) spinor bilinears, the Fierz isomorphism, the zero-pattern
+classification (labels 0..31), and spinors annihilated by an algebraic flux constraint.
 
 Run:  python demos/06_cl8_spinor_classes.py
 """
@@ -33,7 +33,7 @@ E = fierz_polyform(xi, eta)
 print("\nquantize(polyform) equals |xi><B eta|:",
       np.abs(quantize(E) - rank_one_matrix(xi, eta)).max() < 1e-12)
 
-# complexified bilinears sort spinor pairs into 33 zero-pattern classes
+# complexified bilinears sort spinor pairs into 32 zero-pattern labels, 0 the trivial class
 diag = np.diag(chirality())
 pure = np.zeros(16)
 pure[np.where(diag > 0)[0][0]] = 1.0

@@ -288,23 +288,12 @@ class Multivector:
         v[np.fromiter(self.terms, np.intp, count)] = np.fromiter(self.terms.values(), dtype, count)
         return v
 
-    def is_homogeneous(self) -> bool:
-        return len(self.grades()) <= 1
-
     # -- field handling -----------------------------------------------------
 
     def to_complex(self) -> "Multivector":
         if self.field == "complex":
             return self
         return Multivector(self.sig, {m: complex(c) for m, c in self.terms.items()}, "complex")
-
-    def real_if_close(self, tol: float = 0.0) -> "Multivector":
-        """Drop the field tag back to real when all imaginary parts are within tol."""
-        if self.field == "real":
-            return self
-        if any(abs(c.imag) > tol for c in self.terms.values()):
-            raise InvalidInput("imaginary content above tolerance")
-        return Multivector(self.sig, {m: c.real for m, c in self.terms.items()}, "real")
 
     def _require_same(self, other: "Multivector"):
         if self.sig != other.sig:
@@ -384,12 +373,6 @@ class Multivector:
             k = _grade(m)
             out[m] = -c if (k * (k + 1) // 2) & 1 else c
         return Multivector(self.sig, out, self.field)
-
-    def complex_conjugate(self) -> "Multivector":
-        """Entrywise complex conjugation of the coefficients (not a Clifford involution)."""
-        if self.field == "real":
-            return self
-        return Multivector(self.sig, {m: c.conjugate() for m, c in self.terms.items()}, "complex")
 
     # -- display -------------------------------------------------------------
 

@@ -119,16 +119,14 @@ def bilinears_to_json(B: BilinearSet) -> dict:
 
 
 def bilinears_from_json(doc: dict) -> BilinearSet:
+    if not isinstance(doc, dict):
+        raise InvalidInput("bilinear document must be an object")
     try:
-        return BilinearSet(
-            float(doc["sigma"]),
-            tuple(float(x) for x in doc["J"]),
-            tuple(float(x) for x in doc["S"]),
-            tuple(float(x) for x in doc["K"]),
-            float(doc["omega"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed bilinear document: {exc}") from None
+        sigma, omega = _floats([doc["sigma"], doc["omega"]], "sigma and omega")
+        J, S, K = (tuple(_floats(doc[key], f'"{key}"')) for key in ("J", "S", "K"))
+    except KeyError as exc:
+        raise InvalidInput(f"malformed bilinear document: missing {exc}") from None
+    return BilinearSet(sigma, J, S, K, omega)
 
 
 def m8_spinor_from_json(doc: dict) -> tuple:
@@ -143,16 +141,25 @@ def m8_spinor_from_json(doc: dict) -> tuple:
 
 
 def flux_from_json(doc: dict) -> FluxData:
-    try:
-        f = tuple(float(x) for x in doc.get("f", [0.0] * 8))
-        dDelta = tuple(float(x) for x in doc.get("dDelta", [0.0] * 8))
-        kappa = float(doc.get("kappa", 0.0))
-        F = {}
-        for entry in doc.get("F", []):
-            F[tuple(int(i) for i in entry["indices"])] = float(entry["value"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed flux document: {exc}") from None
-    return FluxData(f=f, F=F, dDelta=dDelta, kappa=kappa)
+    if not isinstance(doc, dict):
+        raise InvalidInput("flux document must be an object")
+    entries = doc.get("F", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise InvalidInput('"F" must be a list of objects')
+    F = {}
+    for entry in entries:
+        if "indices" not in entry or "value" not in entry:
+            raise InvalidInput('4-form entries carry "indices" and "value"')
+        idx = _floats(entry["indices"], "4-form indices")
+        if not all(i.is_integer() for i in idx):
+            raise InvalidInput(f"non-integer 4-form index in {idx}")
+        F[tuple(map(int, idx))] = _floats([entry["value"]], "a 4-form value")[0]
+    return FluxData(
+        f=_floats(doc.get("f", [0.0] * 8), '"f"'),
+        F=F,
+        dDelta=_floats(doc.get("dDelta", [0.0] * 8), '"dDelta"'),
+        kappa=_floats([doc.get("kappa", 0.0)], '"kappa"')[0],
+    )
 
 
 def matrix_to_json(M: np.ndarray) -> dict:

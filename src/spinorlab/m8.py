@@ -1,7 +1,8 @@
 """Generalised bilinear covariants on Cl(8,0): the admissible pairing, graded
 spinor bilinears, quantization/dequantization between polyforms and 16x16
-matrices, the rank-one Fierz polyforms, the complexified 33-class
-classification, and the algebraic constraint operator of the flux background.
+matrices, the rank-one Fierz polyforms, the zero-pattern classification of the
+complexified covariants (32 labels, 0 the trivial class), and the algebraic
+constraint operator of the flux background.
 """
 
 from __future__ import annotations
@@ -106,11 +107,10 @@ def fierz_identity_residual(x1, x2, x3, x4) -> float:
     and as endomorphisms; returns the worst normalized residual of either route
     (and of their agreement through quantization).
     """
-    table = dense_table(SIG80)
-    e12, e34 = fierz_polyform(x1, x2), fierz_polyform(x3, x4)
-    e14 = fierz_polyform(x1, x4)
-    prod_vec = table.product(e12.to_vector(), e34.to_vector())
-    target = e14.to_vector() * pairing(x3, x2)
+    x1, x2, x3, x4 = map(_as_spinor, (x1, x2, x3, x4))
+    e12, e34, e14 = (CL8.pairings(a, b) / 16.0 for a, b in ((x1, x2), (x3, x4), (x1, x4)))
+    prod_vec = dense_table(SIG80).product(e12, e34)
+    target = e14 * pairing(x3, x2)
     norm = max(1.0, float(np.abs(prod_vec).max()), float(np.abs(target).max()))
     resid_form = float(np.abs(prod_vec - target).max()) / norm
 
@@ -275,9 +275,9 @@ def cgk_residual(Q: np.ndarray, x, y) -> float:
     imply the other.
     """
     table = dense_table(SIG80)
-    q_form = dequantize(np.asarray(Q, dtype=float)).to_vector()
-    exy = fierz_polyform(x, y).to_vector()
-    eyx = fierz_polyform(y, x).to_vector()
+    q_form = CL8.dequantize(np.asarray(Q, dtype=float))
+    x, y = _as_spinor(x), _as_spinor(y)
+    exy, eyx = CL8.pairings(x, y) / 16.0, CL8.pairings(y, x) / 16.0
     scale = max(1.0, float(np.abs(exy).max()) * max(1.0, float(np.abs(q_form).max())))
     left = float(np.abs(table.product(exy, q_form)).max())
     right = float(np.abs(table.product(q_form, eyx)).max())

@@ -167,7 +167,7 @@ class RelationReport:
     worst_pair: tuple
 
 
-def check_clifford_relations(rep: RepBundle, tol: float = 1e-12) -> RelationReport:
+def check_clifford_relations(rep: RepBundle) -> RelationReport:
     """Max-abs entry of gamma_i gamma_j + gamma_j gamma_i - 2 g_ij I over all pairs.
 
     worst_pair is the first (i, j) in row-major order holding that maximum,
@@ -219,29 +219,40 @@ def dirac_weyl_similarity() -> tuple:
 
 @dataclass(frozen=True)
 class IdempotentRep:
+    """Coefficient rows of E_a1 (cols) and E_1a (rows), and f1; Multivector views on first use."""
+
     sig: Signature
     size: int
-    f: list
-    Ecol: list
-    Erow: list
-    Emat: list = field(repr=False, default_factory=list)
-    _f1_scalar: float = 0.0
+    cols: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    f1: np.ndarray = field(repr=False)
 
     @cached_property
-    def _stacks(self) -> tuple:
-        """Coefficient stacks of {E_1a}, {E_b1} and f[0], for the batched products."""
-        rows = np.array([e.to_vector() for e in self.Erow])
-        cols = np.array([e.to_vector() for e in self.Ecol])
-        return rows, cols, self.f[0].to_vector()
+    def Ecol(self) -> list:
+        return [Multivector.from_vector(self.sig, v) for v in self.cols]
+
+    @cached_property
+    def Erow(self) -> list:
+        return [Multivector.from_vector(self.sig, v) for v in self.rows]
+
+    @cached_property
+    def Emat(self) -> list:
+        """E_ab = E_a1 <> E_1b at [a][b]."""
+        return [[Multivector.from_vector(self.sig, v) for v in line]
+                for line in stack_products(self.sig, self.cols, self.rows)]
+
+    @property
+    def f(self) -> list:
+        """The diagonal idempotents E_aa."""
+        return [self.Emat[a][a] for a in range(self.size)]
 
     def _matrices_of(self, X: np.ndarray, tol: float) -> np.ndarray:
         """(k, size, size) matrices of the rows x of a (k, 2^n) coefficient stack:
         entry (a, b) is the lam with E_1a x E_b1 = lam f1, from two batched products."""
-        rows, cols, f1v = self._stacks
         k, dim = X.shape
-        left = stack_products(self.sig, rows, X).reshape(-1, dim)  # E_1a X[i] at a * k + i
-        prods = stack_products(self.sig, left, cols).reshape(self.size, k, self.size, dim)
-        lam, resid, bad = _multiples(prods.transpose(1, 0, 2, 3), f1v, self._f1_scalar, tol)
+        left = stack_products(self.sig, self.rows, X).reshape(-1, dim)  # E_1a X[i] at a * k + i
+        prods = stack_products(self.sig, left, self.cols).reshape(self.size, k, self.size, dim)
+        lam, resid, bad = _multiples(prods.transpose(1, 0, 2, 3), self.f1, self.f1[0], tol)
         if len(bad):
             a, b = bad[0][-2:]
             raise UnsupportedDivisionRing(
@@ -278,14 +289,6 @@ def _ideal_basis_rows(images: np.ndarray, tol: float = 1e-9) -> list:
     return order[live & (distance > tol * norms)].tolist()
 
 
-def _real_multivectors(sig: Signature, stack: np.ndarray) -> list:
-    """Real Multivectors of the rows of a coefficient stack; exact zeros are pruned."""
-    return [
-        Multivector._trusted(sig, {m: c for m, c in enumerate(row) if c}, "real")
-        for row in stack.tolist()
-    ]
-
-
 def _multiples(prods: np.ndarray, ref: np.ndarray, scalar: float, tol: float) -> tuple:
     """Read prods[...] = lam ref with lam = <prods>_0 / scalar; the division-ring gate.
 
@@ -304,9 +307,9 @@ def rep_from_idempotent(sig: Signature, f1: Multivector, tol: float = 1e-9) -> I
     Computes the minimal left ideal Cl <> f1 by rank analysis of the blade
     images e_M <> f1, gathered from f1's coefficients and the sign table, picks
     the column basis {E_A1} by a pivoted scan, solves the dual basis {E_1A}
-    from E_1A <> E_B1 = delta f1, and assembles E_AB = E_A1 <> E_1B; the
-    products are batched over the blade tables.  Only the real-commutant case
-    is supported: f1 <> Cl <> f1 must be one-dimensional over R.
+    from E_1A <> E_B1 = delta f1, and assembles E_AB = E_A1 <> E_1B on first
+    read of Emat; the products are batched over the blade tables.  Only the
+    real-commutant case is supported: f1 <> Cl <> f1 must be one-dimensional over R.
     """
     if f1.sig != sig:
         raise InvalidInput("idempotent signature mismatch")
@@ -331,8 +334,8 @@ def rep_from_idempotent(sig: Signature, f1: Multivector, tol: float = 1e-9) -> I
             f"ideal dimension {len(col_masks)} != {expected}: f1 is not primitive"
         )
     cols = left[col_masks]
-    col_basis = _real_multivectors(sig, cols)
-    if not approx_equal(col_basis[0], f1, max(tol, 1e-12)):
+    scale = max(1.0, np.abs(cols[0]).max(), np.abs(f1v).max())
+    if not np.abs(cols[0] - f1v).max() <= max(tol, 1e-12) * scale:
         # The scan always hits 1 <> f1 = f1 first; anything else is a logic error.
         raise InvalidInput("ideal basis does not start at f1")
 
@@ -340,17 +343,12 @@ def rep_from_idempotent(sig: Signature, f1: Multivector, tol: float = 1e-9) -> I
     if len(row_masks) != expected:
         raise InvalidInput("row ideal dimension mismatch: f1 is not primitive")
 
-    # P[j, b] f1 = row_basis[j] <> col_basis[b]; each product must be a real
+    # P[j, b] f1 = (row image j) <> E_b1; each product must be a real
     # multiple of f1 (the division-ring gate).
-    f1_scalar = f1.scalar_part()
-    P, resid, bad = _multiples(stack_products(sig, right[row_masks], cols), f1v, f1_scalar, tol)
+    P, resid, bad = _multiples(stack_products(sig, right[row_masks], cols), f1v, f1v[0], tol)
     if len(bad):
         raise UnsupportedDivisionRing(
             f"f1 <> Cl <> f1 is not one-dimensional over R (residual {resid[tuple(bad[0])]:.2e})"
         )
     coeffs = np.linalg.solve(P.T, np.eye(expected)).T  # row a: E_1a in row-basis coordinates
-    rows = coeffs @ right[row_masks]
-
-    emat = [_real_multivectors(sig, line) for line in stack_products(sig, cols, rows)]
-    f_list = [emat[a][a] for a in range(expected)]
-    return IdempotentRep(sig, expected, f_list, col_basis, _real_multivectors(sig, rows), emat, f1_scalar)
+    return IdempotentRep(sig, expected, cols, coeffs @ right[row_masks], f1v)

@@ -21,10 +21,8 @@ import numpy as np
 from .algebra import (
     Multivector,
     Signature,
-    basis_blade,
     blade_images,
     dense_table,
-    geometric_product,
     permutation_sign,
     stack_products,
 )
@@ -34,8 +32,6 @@ from .matrices import RepBundle, builtin_gammas, similarity_matrix
 SIG13 = Signature(1, 3)
 S_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _RAISE = (1.0, -1.0, -1.0, -1.0)
-_TAU = basis_blade(SIG13, [1, 2, 3, 4])
-_ONE = Multivector.scalar(SIG13, 1.0)
 
 # Coefficient-vector layout of the forms (indices are blade masks of Cl(1,3)):
 # the (row, mask) slot and the index-raising weight of each J, K and S component.
@@ -205,7 +201,7 @@ def bilinears_as_forms(B: BilinearSet) -> tuple:
     J = Multivector(SIG13, {1 << m: B.J[m] for m in range(4)})
     S = Multivector(SIG13, {(1 << m) | (1 << n): B.S[i] for i, (m, n) in enumerate(S_PAIRS)})
     K = Multivector(SIG13, {1 << m: B.K[m] for m in range(4)})
-    omega_form = _TAU * B.omega
+    omega_form = Multivector(SIG13, {_TAU_MASK: B.omega})
     return B.sigma, J, S, K, omega_form
 
 
@@ -217,12 +213,6 @@ def _form_rows(B: BilinearSet) -> np.ndarray:
     rows[3:, 0] = B.omega
     rows[3:, _TAU_MASK] = (-B.sigma, B.sigma)
     return rows
-
-
-def _aggregate_forms(B: BilinearSet) -> tuple:
-    """Index-raised forms as they sit inside the aggregate: J^mu, 2 S^{mu nu}, K^mu."""
-    Jf, Kf, Sf = (Multivector.from_vector(SIG13, row) for row in _form_rows(B)[:3])
-    return Jf, Sf, Kf
 
 
 _EPS = np.zeros((4, 4, 4, 4))
@@ -353,15 +343,16 @@ def factorization_residual(B: BilinearSet) -> float:
     denom = B.sigma**2 + B.omega**2
     if denom == 0.0:
         raise InvalidInput("factorization requires sigma^2 + omega^2 > 0")
-    Jf, _, Kf = _aggregate_forms(B)
-    Z = fierz_aggregate(B).Z
-    omega_mv = _ONE * B.sigma - _TAU * B.omega
-    omega_inv = (_ONE * B.sigma + _TAU * B.omega) * (1.0 / denom)
-    right = _ONE.to_complex() + geometric_product(
-        geometric_product(omega_inv, Kf) * 1j, _TAU
-    ).to_complex()
-    cand = geometric_product((omega_mv + Jf).to_complex(), right)
-    return (cand - Z).norm_inf() / max(1.0, Z.norm_inf())
+    Jf, Kf = _form_rows(B)[:2]
+    z, _ = _aggregate(B, "weyl")
+    omega, omega_inv, tau = np.zeros((3, 16))
+    omega[[0, _TAU_MASK]] = B.sigma, -B.omega
+    omega_inv[[0, _TAU_MASK]] = B.sigma * (1.0 / denom), B.omega * (1.0 / denom)
+    tau[_TAU_MASK] = 1.0
+    right = _TABLE.product(1j * _TABLE.product(omega_inv, Kf), tau)
+    right[0] += 1.0
+    cand = _TABLE.product(omega + Jf, right)
+    return float(np.abs(cand - z).max()) / max(1.0, float(np.abs(z).max()))
 
 
 # -- classification --------------------------------------------------------------

@@ -223,7 +223,7 @@ class TestIdempotentRep:
         sig = Signature(3, 1)
         idem = rep_from_idempotent(sig, idempotent(sig, [[1], [2, 4]]))
         bent = idem.f[0] + basis_blade(sig, [3]) * 1e-3
-        broken = dataclasses.replace(idem, f=[bent] + idem.f[1:])
+        broken = dataclasses.replace(idem, f1=bent.to_vector())
         with pytest.raises(UnsupportedDivisionRing, match="not a real multiple of f1"):
             broken.matrix_of(basis_blade(sig, [1]))
         with pytest.raises(UnsupportedDivisionRing):

@@ -296,6 +296,12 @@ class TestReconstruct:
         code, out, err = run("reconstruct", f)
         assert code == 1 and out == "" and "non-finite" in err
 
+    def test_string_block_exits_1(self, run, tmp_path):
+        # a string J once read as its characters, J = (1, 2, 3, 4)
+        doc = {"sigma": 1.0, "J": "1234", "S": [0.0] * 6, "K": [0.0] * 4, "omega": 0.0}
+        code, out, err = run("reconstruct", write_json(tmp_path / "b.json", doc))
+        assert code == 1 and out == "" and err.startswith("clif: ") and err.count("\n") == 1
+
 
 class TestRep:
     def test_idempotent_dump(self, run):

@@ -360,6 +360,24 @@ class TestJson:
         flux = flux_from_json(doc)
         assert flux.F == {(1, 2, 3, 4): 2.0} and flux.kappa == 0.5
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            "f",
+            {"f": "12345678"},
+            {"kappa": 10**400},
+            {"F": {"indices": [1, 2, 3, 4], "value": 1.0}},
+            {"F": [[1, 2, 3, 4]]},
+            {"F": [{"indices": "1234", "value": 1.0}]},
+            {"F": [{"indices": [1, 2, 3, 4.5], "value": 1.0}]},
+            {"F": [{"indices": [1, 2, 3, 4]}]},
+        ],
+    )
+    def test_malformed_flux_documents_raise_invalid_input(self, doc):
+        with pytest.raises(InvalidInput):
+            flux_from_json(doc)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("where", ["f", "dDelta", "F", "kappa"])
     def test_flux_rejects_non_finite(self, where, bad):

@@ -189,6 +189,21 @@ class TestClassification:
     def test_representatives(self, components, expected):
         assert classify_lounesto(DiracSpinor("weyl", components)) == expected
 
+    @pytest.mark.parametrize("unit,expected", [(False, 4), (True, 5)])
+    def test_class_4_family(self, unit, expected):
+        # In the Weyl representation psi = (xi, eta) has sigma = omega = 0 exactly when
+        # eta is orthogonal to xi, eta = c (-conj xi_2, conj xi_1).  Then S != 0 for
+        # c != 0 and K_0 = (|c|^2 - 1) |xi|^2: class 4 for 0 < |c| != 1, class 5 on |c| = 1
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            xi = rng.normal(size=2) + 1j * rng.normal(size=2)
+            r = 1.0 if unit else rng.choice([rng.uniform(0.2, 0.8), rng.uniform(1.25, 5.0)])
+            c = r * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            psi = DiracSpinor("weyl", (xi[0], xi[1], -c * np.conj(xi[1]), c * np.conj(xi[0])))
+            B = bilinears_closed_form(psi)
+            assert abs(B.K[0] - (r * r - 1.0) * np.vdot(xi, xi).real) <= 1e-12 * (1.0 + psi.norm_squared())
+            assert classify_lounesto(psi) == classify_lounesto(change_representation(psi)) == expected
+
     def test_phase_and_scale_invariance(self):
         rng = np.random.default_rng(8)
         for _ in range(40):
@@ -290,6 +305,22 @@ class TestJson:
         rng = np.random.default_rng(15)
         B = bilinears(random_spinor(rng))
         assert bilinears_from_json(bilinears_to_json(B)) == B
+
+    @pytest.mark.parametrize(
+        "key,bad",
+        [("J", "1234"), ("sigma", 10**400), ("K", [0.0, 0.0, None, 0.0])],
+        ids=["string-block", "overflow", "null-entry"],
+    )
+    def test_malformed_bilinear_documents_raise_invalid_input(self, key, bad):
+        doc = {"sigma": 1.0, "J": [1.0, 0.0, 0.0, 0.0], "S": [0.0] * 6, "K": [0.0] * 4, "omega": 0.0}
+        doc[key] = bad
+        with pytest.raises(InvalidInput):
+            bilinears_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [[], "sigma", {"sigma": 1.0, "J": [1.0, 0.0, 0.0, 0.0]}])
+    def test_bilinear_document_must_be_a_complete_object(self, doc):
+        with pytest.raises(InvalidInput):
+            bilinears_from_json(doc)
 
     def test_malformed(self):
         with pytest.raises(InvalidInput):
