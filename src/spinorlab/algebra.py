@@ -6,11 +6,18 @@ signs from transposition counting and metric factors diag(+1^p, -1^q) on the
 contracted indices.  Coefficients are double precision, real or complex, and
 stored sparsely with exact zeros pruned.
 
+The sign's parity, swaps(a, b) + |a & b & negative generators|, is bilinear
+over GF(2): it equals |b & H(a)| with H(a) = (a >> 1) ^ (a >> 2) ^ ... ^
+(a & negative generators).  The products read their signs from this form;
+_count_swaps and _blade_product keep the transposition count as the reference
+the tests compare against, and the contracted-wedge oracle uses it alone.
+
 Products take one of two routes, chosen from n and the operands' term counts
-only.  The sparse route is one loop over term pairs in Python under a blade
-rule (product or wedge) and serves every n <= MAX_GENERATORS.  The dense route
-serves n <= DENSE_MAX_N = 8 when |a|*|b| >= k * 2^n (k = 1 for the geometric
-product, 4 for the wedge, whose sparse loop skips overlapping pairs cheaply):
+only.  The sparse route is one loop over term pairs in Python, with H(a)
+computed once per term of a, and serves every n <= MAX_GENERATORS.  The dense
+route serves n <= DENSE_MAX_N = 8 when |a|*|b| >= k * 2^n (k = 1 for the
+geometric product, 4 for the wedge, whose sparse loop skips overlapping pairs
+cheaply):
 it contracts coefficient vectors through the signature's blade tables,
 out[c] = sum_r va[r] vb[r ^ c] T[r, c] with T[r, c] the sign of e_r e_{r^c}
 (wedge: zero where the blades overlap).  The tables are built once per
@@ -126,10 +133,9 @@ def _blade_tables(sig: Signature) -> tuple:
     """Gather index, sign table and wedge sign table of one signature.
 
     idx[a, k] = a ^ k, G[a, k] = sign of e_a e_{a^k} (= G[a, k] e_k) and
-    W[a, k] = G[a, k] where a and a ^ k share no generator, else 0.  The sign's
-    parity, swaps(a, b) + |a & b & negative generators|, is bilinear over GF(2)
-    in (a, b): it equals |b & H(a)| with H(a) = (a >> 1) ^ (a >> 2) ^ ... ^
-    (a & negative generators), so one bitwise_count over the table gives it.
+    W[a, k] = G[a, k] where a and a ^ k share no generator, else 0.  The sign
+    is the parity of |b & H(a)| (module docstring), so one bitwise_count over
+    the table gives it.
     Tables stop at n = DENSE_TABLE_MAX_N (a 16-bit index, 4 MiB).
     """
     if sig.n > DENSE_TABLE_MAX_N:
@@ -446,17 +452,32 @@ def _dense_apply(a: Multivector, b: Multivector, idx: np.ndarray, table: np.ndar
     return Multivector._trusted(a.sig, dict(zip(nz.tolist(), out[nz].tolist())), field)
 
 
-def _sparse_product(a: Multivector, b: Multivector, rule) -> Multivector:
-    """Term-pair loop under a blade rule (_blade_product or _blade_wedge)."""
-    metric = a.sig.metric_tuple()
+def _sparse_product(a: Multivector, b: Multivector, wedge: bool = False) -> Multivector:
+    """Term-pair loop; the sign of e_ma e_mb is the parity of |mb & H(ma)|.
+
+    H is the GF(2) form of the module docstring, built once per term of a; the
+    wedge drops its metric term and skips overlapping pairs.  The pairs run in
+    the order and with the arithmetic of a per-pair _blade_product loop, so the
+    result is bit-identical to it, key order included.
+    """
+    sig = a.sig
+    negative = 0 if wedge else ((1 << sig.n) - 1) ^ ((1 << sig.p) - 1)  # generators squaring to -1
     field = "complex" if "complex" in (a.field, b.field) else "real"
+    b_terms = b.terms.items()
     out: dict = {}
     for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            coef, mask = rule(ma, mb, metric)
-            if coef:
-                out[mask] = out.get(mask, 0) + coef * ca * cb
-    return Multivector(a.sig, out, field)
+        skip = ma if wedge else 0
+        h, shifted = ma & negative, ma >> 1
+        while shifted:
+            h ^= shifted
+            shifted >>= 1
+        for mb, cb in b_terms:
+            if mb & skip:
+                continue
+            coef = -1 if (mb & h).bit_count() & 1 else 1
+            mask = ma ^ mb
+            out[mask] = out.get(mask, 0) + coef * ca * cb
+    return Multivector(sig, out, field)
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
@@ -465,7 +486,7 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     if _dense(a, b, 1):
         idx, G, _ = _blade_tables(a.sig)
         return _dense_apply(a, b, idx, G)
-    return _sparse_product(a, b, _blade_product)
+    return _sparse_product(a, b)
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
@@ -474,7 +495,7 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
     if _dense(a, b, 4):
         idx, _, W = _blade_tables(a.sig)
         return _dense_apply(a, b, idx, W)
-    return _sparse_product(a, b, _blade_wedge)
+    return _sparse_product(a, b, wedge=True)
 
 
 def frame_contraction(i: int, b: Multivector) -> Multivector:

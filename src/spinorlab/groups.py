@@ -14,10 +14,10 @@ from .algebra import (
     DENSE_MAX_N,
     Multivector,
     Signature,
+    _blade_tables,
     basis_blade,
     blade_images,
     geometric_product,
-    norms,
     stack_products,
 )
 from .errors import ConvergenceError, InvalidInput, NonInvertible
@@ -62,11 +62,27 @@ def apply_versor(a: Multivector, x: Multivector, tol: float = 1e-10) -> Multivec
     return geometric_product(geometric_product(a, x), versor_inverse(a, tol))
 
 
+def _series(one, times_b, norm, tol: float):
+    """Sum of term_k = term_{k-1} B / k from term_0 = one, until the term drops below tol."""
+    term, acc = one, one
+    for k in range(1, _SERIES_CAP + 1):
+        term = times_b(term) * (1.0 / k)
+        acc = acc + term
+        if norm(term) <= tol * (1.0 + norm(acc)):
+            return acc
+    raise ConvergenceError(f"rotor series did not converge in {_SERIES_CAP} terms")
+
+
 def rotor_exp(B: Multivector, tol: float = 1e-12) -> Multivector:
     """Exponential of a bivector.
 
     When B <> B is scalar the closed cos/cosh/linear branch applies; otherwise
     a truncated series runs until the term drops below tol, capped at 64 terms.
+    Up to DENSE_MAX_N generators the series runs on a coefficient vector in
+    B's dtype: right multiplication by B is the fixed matrix R[r, c] =
+    B[r ^ c] G[r, c] of the sign table, so each term is one vector-matrix
+    product and one Multivector is built at the end.  Above it the terms are
+    sparse products.
     """
     if not B.is_zero() and B.grades() != {2}:
         raise InvalidInput("rotor_exp expects a bivector")
@@ -83,13 +99,14 @@ def rotor_exp(B: Multivector, tol: float = 1e-12) -> Multivector:
             return one * math.cos(m) + B * (math.sin(m) / m)
         m = math.sqrt(lam)
         return one * math.cosh(m) + B * (math.sinh(m) / m)
-    term, acc = one, one
-    for k in range(1, _SERIES_CAP + 1):
-        term = geometric_product(term, B) * (1.0 / k)
-        acc = acc + term
-        if term.norm_inf() <= tol * (1.0 + acc.norm_inf()):
-            return acc
-    raise ConvergenceError(f"rotor series did not converge in {_SERIES_CAP} terms")
+    if sig.n > DENSE_MAX_N:
+        return _series(one, lambda term: geometric_product(term, B), Multivector.norm_inf, tol)
+    idx, G, _ = _blade_tables(sig)
+    right = B.to_vector()[idx] * G  # the gathered operand _contract builds for b = B
+    unit = np.zeros(1 << sig.n, right.dtype)
+    unit[0] = 1.0
+    acc = _series(unit, lambda term: term @ right, lambda v: np.abs(v).max(), tol)
+    return Multivector.from_vector(sig, acc)
 
 
 def versor_to_matrix(a: Multivector, tol: float = 1e-10) -> np.ndarray:
@@ -131,8 +148,7 @@ class MembershipReport:
 
 def membership(a: Multivector, tol: float = 1e-9) -> MembershipReport:
     """Pin/Spin/Spin+ verdict from evenness, |N(a)| = 1, and vector preservation."""
-    n_val, _ = norms(a)
-    n_val = float(np.real(n_val))
+    n_val = float(np.real(geometric_product(a.reverse(), a).scalar_part()))
     is_even = all(k % 2 == 0 for k in a.grades())
     try:
         versor_to_matrix(a, tol)

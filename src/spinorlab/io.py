@@ -1,6 +1,8 @@
 """JSON codecs for the wire formats: multivectors, Dirac spinors, bilinear
 sets, Majorana-16 spinors, and flux data.  Encoding is deterministic (sorted
-terms, shortest round-trip floats) and decoding validates shapes.
+terms, shortest round-trip floats) and decoding validates shapes and types:
+JSON numbers only (never booleans or strings), and integers only where a blade
+index or a signature is meant.
 """
 
 from __future__ import annotations
@@ -19,8 +21,24 @@ def _mask_to_indices(mask: int) -> list:
     return [i + 1 for i in range(16) if mask >> i & 1]
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; json reads true/false as bool, a subclass of int, so bools are excluded."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+def _ints(values, what: str) -> list:
+    """The entries of a JSON list of integers; InvalidInput for anything else."""
+    if not isinstance(values, list) or not all(map(_is_int, values)):
+        raise InvalidInput(f"{what} must be a list of integers")
+    return values
+
+
 def _indices_to_mask(indices, n: int) -> int:
-    idx = [int(i) for i in indices]
+    idx = _ints(indices, "blade indices")
     if any(not 1 <= i <= n for i in idx):
         raise InvalidInput(f"indices {idx} outside 1..{n}")
     if sorted(set(idx)) != idx:
@@ -43,11 +61,13 @@ def multivector_from_json(doc: dict, sig: Signature | None = None) -> Multivecto
     if not isinstance(doc, dict):
         raise InvalidInput("multivector document must be an object")
     try:
-        p, q = int(doc["p"]), int(doc["q"])
-        field = doc.get("field", "real")
-        raw_terms = doc.get("terms", [])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed multivector document: {exc}") from None
+        p, q = doc["p"], doc["q"]
+    except KeyError as exc:
+        raise InvalidInput(f"malformed multivector document: missing {exc}") from None
+    if not (_is_int(p) and _is_int(q)):
+        raise InvalidInput('signature "p" and "q" must be integers')
+    field = doc.get("field", "real")
+    raw_terms = doc.get("terms", [])
     parsed = Signature(p, q)
     if sig is not None and parsed != sig:
         raise InvalidInput(f"document signature {parsed} does not match expected {sig}")
@@ -56,11 +76,7 @@ def multivector_from_json(doc: dict, sig: Signature | None = None) -> Multivecto
     terms = {}
     for entry in raw_terms:
         mask = _indices_to_mask(entry.get("indices", []), parsed.n)
-        try:
-            re = float(entry.get("re", 0.0))
-            im = float(entry.get("im", 0.0))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInput(f"malformed coefficient: {exc}") from None
+        re, im = _floats([entry.get("re", 0.0), entry.get("im", 0.0)], "a coefficient")
         if not cmath.isfinite(complex(re, im)):
             raise InvalidInput(f"non-finite coefficient on blade {_mask_to_indices(mask)}")
         if field == "real":
@@ -80,13 +96,16 @@ def spinor_to_json(psi: DiracSpinor) -> dict:
 
 
 def _floats(values, what: str) -> list:
-    """The entries of a JSON list as floats; InvalidInput for a non-list or a non-number."""
+    """The entries of a JSON list of numbers as floats; InvalidInput for anything else."""
     if not isinstance(values, (list, tuple)):
         raise InvalidInput(f"{what} must be a list")
+    for x in values:
+        if not _is_number(x):
+            raise InvalidInput(f"non-numeric entry in {what}: {x!r}")
     try:
         return [float(x) for x in values]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInput(f"non-numeric entry in {what}: {exc}") from None
+    except OverflowError as exc:
+        raise InvalidInput(f"entry out of range in {what}: {exc}") from None
 
 
 def spinor_from_json(doc: dict) -> DiracSpinor:
@@ -150,10 +169,8 @@ def flux_from_json(doc: dict) -> FluxData:
     for entry in entries:
         if "indices" not in entry or "value" not in entry:
             raise InvalidInput('4-form entries carry "indices" and "value"')
-        idx = _floats(entry["indices"], "4-form indices")
-        if not all(i.is_integer() for i in idx):
-            raise InvalidInput(f"non-integer 4-form index in {idx}")
-        F[tuple(map(int, idx))] = _floats([entry["value"]], "a 4-form value")[0]
+        idx = tuple(_ints(entry["indices"], "4-form indices"))
+        F[idx] = _floats([entry["value"]], "a 4-form value")[0]
     return FluxData(
         f=_floats(doc.get("f", [0.0] * 8), '"f"'),
         F=F,

@@ -355,6 +355,28 @@ class TestApproxEqualAndJson:
                 multivector_from_json({"p": 2, "q": 0, "terms": terms})
 
     @pytest.mark.parametrize(
+        "doc",
+        [
+            {"p": 2, "q": 0.9, "terms": []},
+            {"p": 2.0, "q": 0, "terms": []},
+            {"p": "2", "q": 0, "terms": []},
+            {"p": True, "q": 0, "terms": []},
+            {"p": 2, "q": 0, "terms": [{"indices": [1.7, "2"], "re": 1.0}]},
+            {"p": 2, "q": 0, "terms": [{"indices": [1, 2.0], "re": 1.0}]},
+            {"p": 2, "q": 0, "terms": [{"indices": [True], "re": 1.0}]},
+            {"p": 2, "q": 0, "terms": [{"indices": "12", "re": 1.0}]},
+            {"p": 2, "q": 0, "terms": [{"indices": 1, "re": 1.0}]},
+            {"p": 2, "q": 0, "terms": [{"indices": [1], "re": "1.5"}]},
+            {"p": 2, "q": 0, "terms": [{"indices": [1], "re": True}]},
+            {"p": 2, "q": 0, "field": "complex", "terms": [{"indices": [1], "re": 1.0, "im": False}]},
+        ],
+    )
+    def test_json_accepts_numbers_only(self, doc):
+        # each of these once decoded, the strings and bools coerced and 0.9 read as 0
+        with pytest.raises(InvalidInput):
+            multivector_from_json(doc)
+
+    @pytest.mark.parametrize(
         "term",
         [
             {"indices": [1], "re": float("nan")},

@@ -84,6 +84,21 @@ class TestProduct:
         code, out, err = run("product", "--sig", "2,0", str(fa), fb)
         assert code == 1 and out == "" and "non-finite" in err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"p": 2, "q": 0.9, "terms": []},
+            {"p": 2, "q": 0, "terms": [{"indices": [1.7, "2"], "re": 1.0}]},
+            {"p": 2, "q": 0, "terms": [{"indices": [1], "re": "1.5"}]},
+            {"p": 2, "q": 0, "terms": [{"indices": [1], "re": True}]},
+        ],
+    )
+    def test_non_number_exits_1(self, run, tmp_path, doc):
+        fa = write_json(tmp_path / "a.json", doc)
+        fb = write_json(tmp_path / "b.json", {"p": 2, "q": 0, "terms": [{"indices": [2], "re": 1.0}]})
+        code, out, err = run("product", "--sig", "2,0", fa, fb)
+        assert code == 1 and out == "" and err.startswith("clif: ") and err.count("\n") == 1
+
     def test_signature_mismatch_exits_1(self, run, tmp_path):
         fa = write_json(tmp_path / "a.json", GOLDEN_A)
         fb = write_json(tmp_path / "b.json", GOLDEN_B)
@@ -177,6 +192,9 @@ class TestClassify:
             ("dirac", {"rep": "weyl", "components": [["a", 0], [0, 0], [0, 0], [0, 0]]}),
             ("dirac", {"rep": "weyl", "components": 5}),
             ("m8", {"real": [0.0] * 16, "imag": 3}),
+            ("m8", {"real": [True] + [0.0] * 15}),
+            ("dirac", {"rep": "weyl", "components": [["1", 0], [0, 0], [0, 0], [0, 0]]}),
+            ("dirac", {"rep": "weyl", "components": [[True, 0], [0, 0], [0, 0], [0, 0]]}),
         ],
     )
     def test_malformed_spinor_exits_1(self, run, tmp_path, kind, doc):
@@ -295,6 +313,13 @@ class TestReconstruct:
         f = write_json(tmp_path / "b.json", doc)
         code, out, err = run("reconstruct", f)
         assert code == 1 and out == "" and "non-finite" in err
+
+    @pytest.mark.parametrize("key,bad", [("sigma", "1.5"), ("J", [True, "0", 0, 0])])
+    def test_non_number_bilinears_exit_1(self, run, tmp_path, key, bad):
+        doc = {"sigma": 1.0, "J": [1.0, 0.0, 0.0, 0.0], "S": [0.0] * 6, "K": [0.0] * 4, "omega": 0.0}
+        doc[key] = bad
+        code, out, err = run("reconstruct", write_json(tmp_path / "b.json", doc))
+        assert code == 1 and out == "" and err.startswith("clif: ") and err.count("\n") == 1
 
     def test_string_block_exits_1(self, run, tmp_path):
         # a string J once read as its characters, J = (1, 2, 3, 4)

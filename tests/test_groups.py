@@ -14,7 +14,8 @@ from spinorlab.algebra import (
     geometric_product,
     norms,
 )
-from spinorlab.errors import InvalidInput, NonInvertible
+from spinorlab import groups
+from spinorlab.errors import ConvergenceError, InvalidInput, NonInvertible
 from spinorlab.groups import (
     apply_versor,
     membership,
@@ -140,6 +141,90 @@ class TestRotorExp:
         assert approx_equal(apply_versor(R, Multivector.scalar(S30, 2.5)),
                             Multivector.scalar(S30, 2.5), 1e-12)
         assert approx_equal(apply_versor(R * -1.0, basis_blade(S30, [1])), out, 1e-12)
+
+
+def multivector_series(B, tol=1e-12):
+    """The rotor series on Multivectors, one sparse or dense product per term."""
+    one = Multivector.scalar(B.sig, 1.0)
+    term, acc = one, one
+    for k in range(1, 65):
+        term = geometric_product(term, B) * (1.0 / k)
+        acc = acc + term
+        if term.norm_inf() <= tol * (1.0 + acc.norm_inf()):
+            return acc
+    raise ConvergenceError("rotor series did not converge in 64 terms")
+
+
+def full_bivector(sig, rng, norm, complex_coeffs=False):
+    """Every grade-2 blade with a random coefficient, scaled to the given 2-norm."""
+    masks = [m for m in range(1 << sig.n) if bin(m).count("1") == 2]
+    coeffs = rng.normal(size=len(masks)) + (1j * rng.normal(size=len(masks)) if complex_coeffs else 0)
+    coeffs *= norm / np.linalg.norm(coeffs)
+    cast = complex if complex_coeffs else float
+    return Multivector(sig, {m: cast(c) for m, c in zip(masks, coeffs)}, "complex" if complex_coeffs else "real")
+
+
+SERIES_SIGS = [Signature(p, n - p) for n in range(4, 9) for p in range(n + 1)]
+
+
+class TestRotorSeries:
+    """Up to DENSE_MAX_N the series runs on a coefficient vector; it must equal the
+    Multivector series, bit for bit while a 2^n-row contraction is one block (n <= 7)
+    and to rounding at n = 8, where _contract sums the rows in four blocks.  For
+    n <= 3 every bivector squares to a scalar, so only the closed form runs there."""
+
+    @pytest.mark.parametrize("sig", SERIES_SIGS, ids=str)
+    def test_vector_series_matches_multivector_series(self, sig):
+        rng = np.random.default_rng(60 + 9 * sig.p + sig.q)
+        for complex_coeffs in (False, True):
+            for norm in (0.5, 1.5, 3.0):
+                B = full_bivector(sig, rng, norm, complex_coeffs)
+                assert geometric_product(B, B).grades() != {0}  # the series branch
+                got, want = rotor_exp(B), multivector_series(B)
+                assert got.field == want.field
+                if sig.n <= 7:
+                    assert got.terms == want.terms, (sig, complex_coeffs, norm)
+                else:
+                    assert approx_equal(got, want, 1e-14), (sig, complex_coeffs, norm)
+
+    def test_vector_series_takes_one_product(self, monkeypatch):
+        calls = []
+        counted = lambda a, b: calls.append(1) or geometric_product(a, b)
+        monkeypatch.setattr(groups, "geometric_product", counted)
+        B = full_bivector(Signature(4, 1), np.random.default_rng(61), 1.5)
+        assert rotor_exp(B).terms == multivector_series(B).terms
+        assert len(calls) == 1  # B <> B for the branch test; the series reads the table
+
+    def test_above_dense_limit_runs_multivector_series(self, monkeypatch):
+        sig = Signature(5, 4)
+        B = basis_blade(sig, [1, 2]) * 0.4 + basis_blade(sig, [3, 4]) * 0.9 + basis_blade(sig, [5, 9]) * 0.3
+        calls = []
+        counted = lambda a, b: calls.append(1) or geometric_product(a, b)
+        monkeypatch.setattr(groups, "geometric_product", counted)
+        assert rotor_exp(B) == multivector_series(B)
+        assert len(calls) > 2
+
+    def test_closed_form_unchanged(self):
+        for sig, blade, scale in ((S30, [1, 2], 0.7), (S13, [1, 4], 0.4), (Signature(2, 0), [1, 2], 2.5),
+                                  (Signature(1, 2), [2, 3], 1.1), (Signature(2, 2), [1, 3], 0.0)):
+            B = basis_blade(sig, blade) * scale
+            lam = geometric_product(B, B).scalar_part()
+            one = Multivector.scalar(sig, 1.0)
+            if lam == 0:
+                want = one + B
+            elif lam < 0:
+                want = one * math.cos(math.sqrt(-lam)) + B * (math.sin(math.sqrt(-lam)) / math.sqrt(-lam))
+            else:
+                want = one * math.cosh(math.sqrt(lam)) + B * (math.sinh(math.sqrt(lam)) / math.sqrt(lam))
+            got = rotor_exp(B)
+            assert got.terms == want.terms and list(got.terms) == list(want.terms), sig
+
+    @pytest.mark.parametrize("sig", [Signature(4, 0), Signature(5, 4)], ids=str)
+    def test_large_bivector_does_not_converge(self, sig):
+        B = (basis_blade(sig, [1, 2]) + basis_blade(sig, [3, 4]) * 2.0) * (100 / math.sqrt(5))
+        with pytest.raises(ConvergenceError) as raised:
+            rotor_exp(B)
+        assert str(raised.value) == "rotor series did not converge in 64 terms"
 
 
 class TestVersorMatrix:

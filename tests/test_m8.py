@@ -344,6 +344,9 @@ class TestJson:
             {"real": 5},
             {"imag": [0.0] * 16},
             [[1.0] * 16],
+            {"real": [1.0] * 15 + ["1.5"]},
+            {"real": [True] + [0.0] * 15},
+            {"real": [1.0] * 16, "imag": [False] * 16},
         ],
     )
     def test_malformed_documents_raise_invalid_input(self, doc):
@@ -372,6 +375,11 @@ class TestJson:
             {"F": [{"indices": "1234", "value": 1.0}]},
             {"F": [{"indices": [1, 2, 3, 4.5], "value": 1.0}]},
             {"F": [{"indices": [1, 2, 3, 4]}]},
+            {"F": [{"indices": [1, 2, 3, 4.0], "value": 1.0}]},
+            {"F": [{"indices": [1, 2, 3, True], "value": 1.0}]},
+            {"F": [{"indices": [1, 2, 3, 4], "value": "1.0"}]},
+            {"f": [0.0] * 7 + [True]},
+            {"kappa": "0.5"},
         ],
     )
     def test_malformed_flux_documents_raise_invalid_input(self, doc):

@@ -308,8 +308,15 @@ class TestJson:
 
     @pytest.mark.parametrize(
         "key,bad",
-        [("J", "1234"), ("sigma", 10**400), ("K", [0.0, 0.0, None, 0.0])],
-        ids=["string-block", "overflow", "null-entry"],
+        [
+            ("J", "1234"),
+            ("sigma", 10**400),
+            ("K", [0.0, 0.0, None, 0.0]),
+            ("sigma", "1.5"),
+            ("J", [True, "0", 0, 0]),
+            ("omega", False),
+        ],
+        ids=["string-block", "overflow", "null-entry", "string-number", "bool-and-string", "bool"],
     )
     def test_malformed_bilinear_documents_raise_invalid_input(self, key, bad):
         doc = {"sigma": 1.0, "J": [1.0, 0.0, 0.0, 0.0], "S": [0.0] * 6, "K": [0.0] * 4, "omega": 0.0}
@@ -339,6 +346,8 @@ class TestJson:
             {"rep": "weyl", "components": [[1, 0], [0, 0], [0, 0], 7]},
             {"rep": ["weyl"], "components": [[1, 0], [0, 0], [0, 0], [0, 0]]},
             ["weyl", [[1, 0]] * 4],
+            {"rep": "weyl", "components": [["1.5", 0], [0, 0], [0, 0], [0, 0]]},
+            {"rep": "weyl", "components": [[True, 0], [0, 0], [0, 0], [0, 0]]},
         ],
     )
     def test_malformed_documents_raise_invalid_input(self, doc):
