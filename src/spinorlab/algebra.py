@@ -26,7 +26,8 @@ signature in one vectorised pass and stored as uint8 index and int8 signs,
 4 MiB).  One blocked contraction serves vectors and stacks alike: the dense
 route, DenseTable, and stack_products, which forms every product of two
 coefficient stacks at once.  blade_images gathers the blade multiples e_M v
-and v e_M without forming a product.
+and v e_M without forming a product; right_product_matrix gathers the
+matrix of x -> x v.
 The two routes agree to rounding on finite coefficients; the JSON decoder
 rejects non-finite ones.
 """
@@ -100,7 +101,7 @@ def _blade_product(mask_a: int, mask_b: int, metric: tuple[int, ...]) -> tuple[i
     return sign, mask_a ^ mask_b
 
 
-def _blade_wedge(mask_a: int, mask_b: int, metric=None) -> tuple[int, int]:
+def _blade_wedge(mask_a: int, mask_b: int) -> tuple[int, int]:
     """Exterior product of unit blades: 0 on shared indices, else signed union (metric-free)."""
     if mask_a & mask_b:
         return 0, 0
@@ -188,6 +189,16 @@ def blade_images(sig: Signature, v, masks=slice(None)) -> tuple:
     rows = idx[masks]
     gathered = np.asarray(v)[rows]
     return gathered * G[masks], gathered * np.take_along_axis(G, rows, axis=0)
+
+
+def right_product_matrix(sig: Signature, v) -> np.ndarray:
+    """The 2^n x 2^n matrix R with x @ R the coefficients of x <> v for every row x.
+
+    Row M is e_M v, v[M ^ c] G[M, c]: the first output of blade_images over all
+    masks, without its second gather.
+    """
+    idx, G, _ = _blade_tables(sig)
+    return np.asarray(v)[idx] * G
 
 
 def stack_products(sig: Signature, A, B) -> np.ndarray:

@@ -14,10 +14,10 @@ from .algebra import (
     DENSE_MAX_N,
     Multivector,
     Signature,
-    _blade_tables,
     basis_blade,
     blade_images,
     geometric_product,
+    right_product_matrix,
     stack_products,
 )
 from .errors import ConvergenceError, InvalidInput, NonInvertible
@@ -78,11 +78,13 @@ def rotor_exp(B: Multivector, tol: float = 1e-12) -> Multivector:
 
     When B <> B is scalar the closed cos/cosh/linear branch applies; otherwise
     a truncated series runs until the term drops below tol, capped at 64 terms.
-    Up to DENSE_MAX_N generators the series runs on a coefficient vector in
-    B's dtype: right multiplication by B is the fixed matrix R[r, c] =
-    B[r ^ c] G[r, c] of the sign table, so each term is one vector-matrix
-    product and one Multivector is built at the end.  Above it the terms are
-    sparse products.
+    The terms stay in the span of products of B's k blades, at most 2^k of
+    them, so a sparse step takes at most k 2^k term pairs.  Up to DENSE_MAX_N
+    generators, and when k 2^k reaches a quarter of 2^n, the series runs on a
+    coefficient vector in B's dtype: right multiplication by B is the fixed
+    matrix right_product_matrix(B), so each term is one vector-matrix product
+    and one Multivector is built at the end.  Otherwise the terms are products
+    of Multivectors, which beat the 2^n x 2^n matrix for few-term B at n = 7, 8.
     """
     if not B.is_zero() and B.grades() != {2}:
         raise InvalidInput("rotor_exp expects a bivector")
@@ -99,10 +101,10 @@ def rotor_exp(B: Multivector, tol: float = 1e-12) -> Multivector:
             return one * math.cos(m) + B * (math.sin(m) / m)
         m = math.sqrt(lam)
         return one * math.cosh(m) + B * (math.sinh(m) / m)
-    if sig.n > DENSE_MAX_N:
+    k = len(B.terms)
+    if sig.n > DENSE_MAX_N or k << (k + 2) < 1 << sig.n:
         return _series(one, lambda term: geometric_product(term, B), Multivector.norm_inf, tol)
-    idx, G, _ = _blade_tables(sig)
-    right = B.to_vector()[idx] * G  # the gathered operand _contract builds for b = B
+    right = right_product_matrix(sig, B.to_vector())
     unit = np.zeros(1 << sig.n, right.dtype)
     unit[0] = 1.0
     acc = _series(unit, lambda term: term @ right, lambda v: np.abs(v).max(), tol)

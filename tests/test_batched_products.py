@@ -13,6 +13,7 @@ from spinorlab.algebra import (
     basis_blade,
     blade_images,
     geometric_product,
+    right_product_matrix,
     stack_products,
 )
 from spinorlab.errors import InvalidInput, NonInvertible, UnsupportedDivisionRing
@@ -88,6 +89,10 @@ class TestStackProducts:
         frame = [1 << i for i in range(sig.n)]
         some_left, some_right = blade_images(sig, v, frame)
         assert np.array_equal(some_left, left[frame]) and np.array_equal(some_right, right[frame])
+        R = right_product_matrix(sig, v)
+        assert np.array_equal(R, left)  # row M: e_M <> v
+        x = random_stack(rng, 1, 1 << sig.n, "real")[0]
+        assert np.allclose(x @ R, geometric_product(Multivector.from_vector(sig, x), mv).to_vector())
 
     def test_rejects_bad_shapes_and_large_n(self):
         with pytest.raises(InvalidInput):

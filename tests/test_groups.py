@@ -195,6 +195,33 @@ class TestRotorSeries:
         assert rotor_exp(B).terms == multivector_series(B).terms
         assert len(calls) == 1  # B <> B for the branch test; the series reads the table
 
+    @pytest.mark.parametrize(
+        "sig, blades, vector",
+        [
+            (Signature(8, 0), [(1, 2), (3, 4)], False),  # 4 k 2^k = 32 < 2^n = 256
+            (Signature(4, 4), [(1, 2), (2, 3), (4, 5)], False),  # 96 < 256
+            (Signature(4, 4), [(1, 2), (2, 3), (4, 5), (6, 7)], True),  # 256 >= 256
+            (Signature(8, 0), [(1, 2), (2, 3), (4, 5), (6, 7), (7, 8)], True),  # 640 >= 256
+            (Signature(3, 4), [(1, 2), (3, 4)], False),  # 32 < 128
+            (Signature(3, 4), [(1, 2), (2, 3), (4, 5)], False),  # 96 < 128
+            (Signature(6, 0), [(1, 2), (2, 3), (4, 5)], True),  # 96 >= 64
+            (Signature(5, 0), [(1, 2), (3, 4)], True),  # 32 >= 32
+        ],
+    )
+    def test_route_follows_term_count(self, monkeypatch, sig, blades, vector):
+        """The vector series only when 4 k 2^k reaches 2^n; the results agree either way."""
+        rng = np.random.default_rng(62)
+        B = Multivector(sig, {(1 << i - 1) | (1 << j - 1): float(rng.uniform(0.2, 0.6)) for i, j in blades})
+        calls = []
+        counted = lambda a, b: calls.append(1) or geometric_product(a, b)
+        monkeypatch.setattr(groups, "geometric_product", counted)
+        got, want = rotor_exp(B), multivector_series(B)
+        assert (len(calls) == 1) == vector, len(calls)
+        if sig.n <= 7 or not vector:
+            assert got.terms == want.terms
+        else:
+            assert approx_equal(got, want, 1e-14)
+
     def test_above_dense_limit_runs_multivector_series(self, monkeypatch):
         sig = Signature(5, 4)
         B = basis_blade(sig, [1, 2]) * 0.4 + basis_blade(sig, [3, 4]) * 0.9 + basis_blade(sig, [5, 9]) * 0.3
