@@ -12,23 +12,35 @@ over GF(2): it equals |b & H(a)| with H(a) = (a >> 1) ^ (a >> 2) ^ ... ^
 _count_swaps and _blade_product keep the transposition count as the reference
 the tests compare against, and the contracted-wedge oracle uses it alone.
 
-Products take one of two routes, chosen from n and the operands' term counts
-only.  The sparse route is one loop over term pairs in Python, with H(a)
+Products take one of three routes, chosen from n and the operands' term
+counts only.  The sparse route is one loop over term pairs in Python, with H(a)
 computed once per term of a, and serves every n <= MAX_GENERATORS.  The dense
-route serves n <= DENSE_MAX_N = 8 when |a|*|b| >= k * 2^n (k = 1 for the
+routes serve n <= DENSE_MAX_N = 8 when |a|*|b| >= k * 2^n (k = 1 for the
 geometric product, 4 for the wedge, whose sparse loop skips overlapping pairs
-cheaply):
-it contracts coefficient vectors through the signature's blade tables,
-out[c] = sum_r va[r] vb[r ^ c] T[r, c] with T[r, c] the sign of e_r e_{r^c}
-(wedge: zero where the blades overlap).  The tables are built once per
-signature in one vectorised pass and stored as uint8 index and int8 signs,
+cheaply).
+
+The table route contracts coefficient vectors through the signature's blade
+tables, out[c] = sum_r va[r] vb[r ^ c] T[r, c] with T[r, c] the sign of
+e_r e_{r^c} (wedge: zero where the blades overlap).  The tables are built once
+per signature in one vectorised pass and stored as uint8 index and int8 signs,
 3 * 4^n bytes: 192 KiB at n = 8; they exist up to n = 10 (uint16 index,
-4 MiB).  One blocked contraction serves vectors and stacks alike: the dense
-route, DenseTable, and stack_products, which forms every product of two
-coefficient stacks at once.  blade_images gathers the blade multiples e_M v
-and v e_M without forming a product; right_product_matrix gathers the
-matrix of x -> x v.
-The two routes agree to rounding on finite coefficients; the JSON decoder
+4 MiB).  One blocked contraction serves vectors and stacks alike.  It takes
+every wedge, every product below n = 8, DenseTable at n = 9 and 10,
+blade_images, which gathers the blade multiples e_M v and v e_M without forming
+a product, and right_product_matrix, which gathers the matrix of x -> x v.
+
+The matrix route takes every geometric product at n = DENSE_MAX_N: the dense
+branch of geometric_product, DenseTable.product and stack_products.  It uses
+Cl(p,q) -> Mat(16, R) or, after complexification, Mat(16, C) (Lounesto 2001,
+ch. 16-17): both operands are quantized through a per-signature stack of 256
+blade matrices, multiplied, and dequantized by the trace pairing
+tr(T B_M) / (16 e_M^2).  The stack is real where Cl(p,q) = Mat(16, R)
+(p - q = 0 or 2 mod 8) and a complex Jordan-Wigner stack elsewhere; one
+(256, 256) row array serves both directions, 512 KiB or 1 MiB.  Its rounding
+spreads over every blade, so the result is masked to the blades r ^ s that
+some pair of nonzero coefficients a[r], b[s] reaches: even times even has no
+odd-grade term, as on the other routes.
+The routes agree to rounding on finite coefficients; the JSON decoder
 rejects non-finite ones.
 """
 
@@ -44,7 +56,7 @@ import numpy as np
 from .errors import InvalidInput, SignatureMismatch
 
 MAX_GENERATORS = 16
-DENSE_MAX_N = 8  # products take the table route only up to here
+DENSE_MAX_N = 8  # dense routes only up to here; the matrix route at exactly this n
 DENSE_TABLE_MAX_N = 10  # largest signature with blade tables (DenseTable, stacks)
 
 
@@ -179,6 +191,134 @@ def _contract(a: np.ndarray, b: np.ndarray, idx: np.ndarray, table: np.ndarray) 
     return out
 
 
+# 2x2 real letters of the tensor words that build gamma matrices.
+_BLOCKS = {
+    "i": np.eye(2),
+    "s": np.array([[1.0, 0.0], [0.0, -1.0]]),
+    "t": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "e": np.array([[0.0, -1.0], [1.0, 0.0]]),
+}
+
+
+def _tensor_word(word: str) -> np.ndarray:
+    m = _BLOCKS[word[0]]
+    for ch in word[1:]:
+        m = np.kron(m, _BLOCKS[ch])
+    return m
+
+
+def _ascending_products(gammas) -> np.ndarray:
+    """(2^n, d, d) stack of blade matrices, doubled once per generator: for
+    m < 2^i, stack[m | 2^i] = stack[m] gamma_{i+1}, the ascending product."""
+    stack = np.eye(len(gammas[0]), dtype=np.result_type(*gammas))[None]
+    for g in gammas:
+        stack = np.concatenate((stack, stack @ g))
+    stack.flags.writeable = False
+    return stack
+
+
+def _blade_squares(sig: Signature) -> np.ndarray:
+    """e_M^2 for every mask: the reversion sign of |M| times the generator squares in M."""
+    masks = np.arange(1 << sig.n)
+    k = np.bitwise_count(masks)
+    negative = np.bitwise_count(masks >> sig.p)
+    return 1.0 - 2.0 * ((k * (k - 1) // 2 + negative) & 1)
+
+
+# Generators of the matrix route, one tensor word each.  A word squares to -1
+# when it holds an odd number of "e" letters, and two words anticommute when
+# an odd number of their positions hold two different non-"i" letters.  Where
+# Cl(p,q) = Mat(16, R), p - q = 0 or 2 mod 8, the listed words square to the
+# metric, so the stack is real.  The (8,0) set differs from the gamma bundle's
+# (matrices.CL8_GAMMAS), so checks that quantize through that bundle stay
+# independent of this route.  Elsewhere the Jordan-Wigner words take a factor
+# i where a word's square differs from its generator's.
+_REAL_WORDS = {
+    (8, 0): ("iiis", "iiit", "iiee", "iese", "sete", "tete", "eite", "esse"),
+    (5, 3): ("iiis", "iiit", "isee", "itee", "eeee", "iise", "iite", "seee"),
+    (4, 4): ("iiis", "iiit", "isee", "itee", "iise", "iite", "seee", "teee"),
+    (1, 7): ("iiis", "iiie", "iiet", "iest", "sett", "tett", "eitt", "esst"),
+    (0, 8): ("iiie", "iies", "iset", "itet", "ieit", "iess", "sets", "tets"),
+}
+_JORDAN_WIGNER = ("tiii", "eiii", "stii", "seii", "ssti", "ssei", "ssst", "ssse")
+
+
+def _matrix_generators(sig: Signature) -> list:
+    """The eight 16x16 generators of the matrix route for an n = 8 signature."""
+    words = _REAL_WORDS.get((sig.p, sig.q), _JORDAN_WIGNER)
+    return [_tensor_word(w) * (1 if (-1) ** w.count("e") == g else 1j)
+            for w, g in zip(words, sig.metric_tuple())]
+
+
+@lru_cache(maxsize=16)
+def _matrix_rows(sig: Signature) -> tuple:
+    """Row array and trace-pairing scale of the matrix route (n = DENSE_MAX_N only).
+
+    rows[M] is the raveled 16x16 matrix B_M of blade e_M.  Quantizing is
+    v @ rows; dequantizing T reads tr(T B_M) = ravel(T^T) . rows[M], times
+    scale[M] = 1 / (16 e_M^2).
+    """
+    rows = _ascending_products(_matrix_generators(sig)).reshape(1 << sig.n, -1)
+    return rows, 1.0 / (16 * _blade_squares(sig))
+
+
+def _times_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """x @ rows; a complex x meets a real rows as two real products, not as a complex copy."""
+    if x.dtype.kind == "c" and rows.dtype.kind != "c":
+        return (x.real @ rows) + 1j * (x.imag @ rows)
+    return x @ rows
+
+
+_HADAMARD = 1.0 - 2.0 * (np.bitwise_count(np.arange(16)[:, None] & np.arange(16)) & 1)
+
+
+def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform over a last axis of 256: H_256 = H_16 (x) H_16."""
+    return (_HADAMARD @ x.reshape(x.shape[:-1] + (16, 16)) @ _HADAMARD).reshape(x.shape)
+
+
+def _reachable(a: np.ndarray, b: np.ndarray):
+    """Mask of the blades r ^ s with a[..., r] b[..., s] != 0; None when every blade is reached.
+
+    When |supp a| + |supp b| > 2^n, supp a and c ^ supp b must meet for every
+    c.  Otherwise the pair count sum_r [a_r != 0][b_{r^c} != 0] is an XOR
+    convolution, the transform of the product of the supports' transforms,
+    divided by 2^n; every value on the way is an integer of at most 2^24, so
+    the count is exact in float64.
+    """
+    dim = a.shape[-1]
+    if a.ndim == 1 and b.ndim == 1:  # count_nonzero without an axis is the fast one
+        if np.count_nonzero(a) + np.count_nonzero(b) > dim:
+            return None
+    elif (np.count_nonzero(a, axis=-1) + np.count_nonzero(b, axis=-1) > dim).all():
+        return None
+    count = _walsh_hadamard(_walsh_hadamard((a != 0) * 1.0) * _walsh_hadamard((b != 0) * 1.0))
+    return count > 0
+
+
+def _matrix_product(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Geometric products a b of coefficient arrays at n = DENSE_MAX_N, broadcast over leading axes.
+
+    Quantize both, multiply the 16x16 matrices, dequantize by the trace
+    pairing (module docstring).  Real meets complex as if cast first; real
+    operands give a real result, the complex stack's imaginary rounding dropped.
+    """
+    rows, scale = _matrix_rows(sig)
+    dim = len(rows)
+    split = a.size // dim
+    # both operands in one product, one pass over rows; concatenating casts real to complex
+    both = np.concatenate((a.reshape(-1, dim), b.reshape(-1, dim)))
+    quantized = _times_rows(both, rows)
+    X = quantized[:split].reshape(a.shape[:-1] + (16, 16))
+    Y = quantized[split:].reshape(b.shape[:-1] + (16, 16))
+    transposed = Y.swapaxes(-1, -2) @ X.swapaxes(-1, -2)  # (X Y)^T, so its rows pair with rows
+    out = _times_rows(transposed.reshape(transposed.shape[:-2] + (dim,)), rows.T) * scale
+    if both.dtype.kind != "c":
+        out = out.real
+    reach = _reachable(a, b)
+    return out if reach is None else np.where(reach, out, 0.0)
+
+
 def blade_images(sig: Signature, v, masks=slice(None)) -> tuple:
     """Coefficient rows of e_M v and v e_M for the listed blade masks M, by a gather.
 
@@ -202,16 +342,19 @@ def right_product_matrix(sig: Signature, v) -> np.ndarray:
 
 
 def stack_products(sig: Signature, A, B) -> np.ndarray:
-    """All geometric products A[i] B[j] of two coefficient stacks through the blade tables.
+    """All geometric products A[i] B[j] of two coefficient stacks.
 
     A is (m, 2^n) and B is (k, 2^n), real or complex, indexed by blade mask; the
-    result is the (m, k, 2^n) array out[i, j, c] = sum_a A[i, a] B[j, a ^ c] G[a, c].
+    result is the (m, k, 2^n) array out[i, j, c] = sum_a A[i, a] B[j, a ^ c] G[a, c],
+    one batched matmul of blade matrices at n = DENSE_MAX_N, a table contraction otherwise.
     """
-    idx, G, _ = _blade_tables(sig)
     dim = 1 << sig.n
     A, B = np.asarray(A), np.asarray(B)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != dim or B.shape[1] != dim:
         raise InvalidInput(f"coefficient stacks of {sig} must be (count, {dim}) arrays")
+    if sig.n == DENSE_MAX_N:
+        return _matrix_product(sig, A[:, None], B[None])
+    idx, G, _ = _blade_tables(sig)
     return _contract(A, B, idx, G).transpose(1, 0, 2)
 
 
@@ -456,8 +599,13 @@ def _dense(a: Multivector, b: Multivector, multiple: int) -> bool:
     return n <= DENSE_MAX_N and len(a.terms) * len(b.terms) >= multiple << n
 
 
-def _dense_apply(a: Multivector, b: Multivector, idx: np.ndarray, table: np.ndarray) -> Multivector:
-    out = _contract(a.to_vector(), b.to_vector(), idx, table)  # real meets complex in the matmul
+def _dense_apply(a: Multivector, b: Multivector, wedge: bool = False) -> Multivector:
+    va, vb = a.to_vector(), b.to_vector()
+    if wedge or a.sig.n != DENSE_MAX_N:
+        idx, G, W = _blade_tables(a.sig)
+        out = _contract(va, vb, idx, W if wedge else G)
+    else:
+        out = _matrix_product(a.sig, va, vb)
     field = "complex" if out.dtype.kind == "c" else "real"
     nz = np.flatnonzero(out)
     return Multivector._trusted(a.sig, dict(zip(nz.tolist(), out[nz].tolist())), field)
@@ -469,7 +617,9 @@ def _sparse_product(a: Multivector, b: Multivector, wedge: bool = False) -> Mult
     H is the GF(2) form of the module docstring, built once per term of a; the
     wedge drops its metric term and skips overlapping pairs.  The pairs run in
     the order and with the arithmetic of a per-pair _blade_product loop, so the
-    result is bit-identical to it, key order included.
+    result is bit-identical to it, key order included; exact zeros are pruned
+    in that order and the terms, already Python floats or complexes, are
+    wrapped without a second pass.
     """
     sig = a.sig
     negative = 0 if wedge else ((1 << sig.n) - 1) ^ ((1 << sig.p) - 1)  # generators squaring to -1
@@ -488,15 +638,14 @@ def _sparse_product(a: Multivector, b: Multivector, wedge: bool = False) -> Mult
             coef = -1 if (mb & h).bit_count() & 1 else 1
             mask = ma ^ mb
             out[mask] = out.get(mask, 0) + coef * ca * cb
-    return Multivector(sig, out, field)
+    return Multivector._trusted(sig, {m: c for m, c in out.items() if c}, field)
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    """Clifford product by the bitmask transposition rule (dense or sparse route)."""
+    """Clifford product by the bitmask transposition rule (sparse, table or matrix route)."""
     a._require_same(b)
     if _dense(a, b, 1):
-        idx, G, _ = _blade_tables(a.sig)
-        return _dense_apply(a, b, idx, G)
+        return _dense_apply(a, b)
     return _sparse_product(a, b)
 
 
@@ -504,8 +653,7 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Exterior product (dense or sparse route)."""
     a._require_same(b)
     if _dense(a, b, 4):
-        idx, _, W = _blade_tables(a.sig)
-        return _dense_apply(a, b, idx, W)
+        return _dense_apply(a, b, wedge=True)
     return _sparse_product(a, b, wedge=True)
 
 
@@ -656,7 +804,8 @@ def approx_equal(a: Multivector, b: Multivector, tol: float = 1e-12) -> bool:
 
 
 class DenseTable:
-    """Full multiplication table of one signature: a view on its blade tables."""
+    """Dense products of one signature's coefficient vectors: a view on its blade
+    tables, except that the geometric product at n = DENSE_MAX_N takes the matrix route."""
 
     def __init__(self, sig: Signature):
         self.sig = sig
@@ -664,6 +813,8 @@ class DenseTable:
         self._idx, self._sign, self._wedge = _blade_tables(sig)
 
     def product(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+        if self.sig.n == DENSE_MAX_N:
+            return _matrix_product(self.sig, np.asarray(va), np.asarray(vb))
         return _contract(va, vb, self._idx, self._sign)
 
     def wedge(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ versor induces on the frame.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,7 +29,11 @@ _SERIES_CAP = 64
 def versor_inverse(a: Multivector, tol: float = 1e-10) -> Multivector:
     """rev(a) / N(a), valid when rev(a) <> a is a nonzero scalar."""
     rev = a.reverse()
-    check = geometric_product(rev, a)
+    return _inverse_from(a, rev, geometric_product(rev, a), tol)
+
+
+def _inverse_from(a: Multivector, rev: Multivector, check: Multivector, tol: float) -> Multivector:
+    """versor_inverse from rev(a) and its product check = rev(a) <> a."""
     n = check.scalar_part()
     scale = max(1.0, a.norm_inf() ** 2)
     if abs(n) <= tol * scale:
@@ -76,7 +81,8 @@ def _series(one, times_b, norm, tol: float):
 def rotor_exp(B: Multivector, tol: float = 1e-12) -> Multivector:
     """Exponential of a bivector.
 
-    When B <> B is scalar the closed cos/cosh/linear branch applies; otherwise
+    When B <> B is a scalar lam the closed cos/cosh/linear branch applies (for a
+    complex B, cosh(m) + B sinh(m) / m with m the complex root of lam); otherwise
     a truncated series runs until the term drops below tol, capped at 64 terms.
     The terms stay in the span of products of B's k blades, at most 2^k of
     them, so a sparse step takes at most k 2^k term pairs.  Up to DENSE_MAX_N
@@ -96,6 +102,9 @@ def rotor_exp(B: Multivector, tol: float = 1e-12) -> Multivector:
     if (square - lam).norm_inf() <= tol * scale:
         if abs(lam) <= tol * scale:
             return one + B
+        if isinstance(lam, complex):
+            m = cmath.sqrt(lam)
+            return Multivector.scalar(sig, cmath.cosh(m)) + B * (cmath.sinh(m) / m)
         if lam < 0:
             m = math.sqrt(-lam)
             return one * math.cos(m) + B * (math.sin(m) / m)
@@ -116,11 +125,17 @@ def versor_to_matrix(a: Multivector, tol: float = 1e-10) -> np.ndarray:
 
     Column j holds the frame components of hat(a) <> e^j <> a^-1; the action
     must preserve grade 1 or the input is rejected.  Up to DENSE_MAX_N
-    generators the n images are one batched table product of the gathered
-    hat(a) <> e^j with a^-1; above it they are sparse products, column by column.
+    generators the n images are one stack_products call on the gathered
+    hat(a) <> e^j and a^-1; above it they are sparse products, column by column.
     """
+    frame = 1 << np.arange(a.sig.n)
+    images = _frame_images(a, versor_inverse(a, tol), tol)
+    return images[:, frame].real.T + 0.0  # + 0.0: zero entries read 0.0, not -0.0
+
+
+def _frame_images(a: Multivector, inv: Multivector, tol: float) -> np.ndarray:
+    """Coefficient rows of hat(a) <> e^j <> inv, j = 1..n; NonInvertible unless each is a vector."""
     sig = a.sig
-    inv = versor_inverse(a, tol)
     hat = a.grade_involution()
     dim = 1 << sig.n
     frame = 1 << np.arange(sig.n)
@@ -137,7 +152,7 @@ def versor_to_matrix(a: Multivector, tol: float = 1e-10) -> np.ndarray:
         scale = max(1.0, float(np.abs(image).max()))
         if not float(np.abs(image[off_grade]).max(initial=0.0)) <= tol * scale:
             raise NonInvertible("twisted adjoint does not preserve grade 1: not a versor")
-    return images[:, frame].real.T + 0.0  # + 0.0: zero entries read 0.0, not -0.0
+    return images
 
 
 @dataclass(frozen=True)
@@ -149,11 +164,17 @@ class MembershipReport:
 
 
 def membership(a: Multivector, tol: float = 1e-9) -> MembershipReport:
-    """Pin/Spin/Spin+ verdict from evenness, |N(a)| = 1, and vector preservation."""
-    n_val = float(np.real(geometric_product(a.reverse(), a).scalar_part()))
+    """Pin/Spin/Spin+ verdict from evenness, |N(a)| = 1, and vector preservation.
+
+    One product rev(a) <> a gives N(a) and a^-1; one pass of frame images checks
+    that the twisted adjoint action preserves grade 1, as versor_to_matrix does.
+    """
+    rev = a.reverse()
+    check = geometric_product(rev, a)
+    n_val = float(np.real(check.scalar_part()))
     is_even = all(k % 2 == 0 for k in a.grades())
     try:
-        versor_to_matrix(a, tol)
+        _frame_images(a, _inverse_from(a, rev, check, tol), tol)
         preserves = True
     except NonInvertible:
         preserves = False

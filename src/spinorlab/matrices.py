@@ -17,6 +17,9 @@ import numpy as np
 from .algebra import (
     Multivector,
     Signature,
+    _ascending_products,
+    _blade_squares,
+    _tensor_word,
     approx_equal,
     blade_images,
     geometric_product,
@@ -25,16 +28,9 @@ from .algebra import (
 from .errors import InvalidInput, SignatureMismatch, UnsupportedDivisionRing
 from .tables import RING_DIM, classify_real
 
-# 2x2 real building blocks for tensor-word constructions.
-_BLOCKS = {
-    "i": np.eye(2),
-    "s": np.array([[1.0, 0.0], [0.0, -1.0]]),
-    "t": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "e": np.array([[0.0, -1.0], [1.0, 0.0]]),
-}
-
-# Eight real symmetric anticommuting involutions on R^16 whose full product
-# (the chirality operator) is diagonal +-1.  Verified exactly by test.
+# Eight real symmetric anticommuting involutions on R^16, tensor words over the
+# letters of algebra._BLOCKS, whose full product (the chirality operator) is diagonal
+# +-1.  Verified exactly by test.
 _CL8_WORDS = ["iiit", "iits", "itss", "iete", "tsss", "este", "etie", "etes"]
 
 PAULI = [
@@ -65,13 +61,6 @@ WEYL_GAMMAS = [_block4(_ZERO2, _EYE2, _EYE2, _ZERO2)] + [
 ]
 
 
-def _tensor_word(word: str) -> np.ndarray:
-    m = _BLOCKS[word[0]]
-    for ch in word[1:]:
-        m = np.kron(m, _BLOCKS[ch])
-    return m
-
-
 CL8_GAMMAS = [_tensor_word(w) for w in _CL8_WORDS]
 
 
@@ -95,19 +84,12 @@ class RepBundle:
         blades[m | 2^i] = blades[m] gamma_{i+1}, the ascending product."""
         if not self.gammas:
             raise InvalidInput("bundle has no gamma matrices")
-        stack = np.eye(self.dim, dtype=np.result_type(*self.gammas))[None]
-        for g in self.gammas:
-            stack = np.concatenate((stack, stack @ g))
-        stack.flags.writeable = False
-        return stack
+        return _ascending_products(self.gammas)
 
     @cached_property
     def blade_squares(self) -> np.ndarray:
         """e_M^2 for every mask: the reversion sign of |M| times the generator squares in M."""
-        masks = np.arange(1 << self.sig.n)
-        k = np.bitwise_count(masks)
-        negative = np.bitwise_count(masks >> self.sig.p)
-        return 1.0 - 2.0 * ((k * (k - 1) // 2 + negative) & 1)
+        return _blade_squares(self.sig)
 
     def gamma_blade(self, mask: int) -> np.ndarray:
         """Matrix of the blade with the given index mask (ascending product), read-only."""

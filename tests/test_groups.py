@@ -169,8 +169,8 @@ SERIES_SIGS = [Signature(p, n - p) for n in range(4, 9) for p in range(n + 1)]
 
 class TestRotorSeries:
     """Up to DENSE_MAX_N the series runs on a coefficient vector; it must equal the
-    Multivector series, bit for bit while a 2^n-row contraction is one block (n <= 7)
-    and to rounding at n = 8, where _contract sums the rows in four blocks.  For
+    Multivector series, bit for bit at n <= 7 and to rounding at n = 8, where the
+    Multivector products take the matrix route.  For
     n <= 3 every bivector squares to a scalar, so only the closed form runs there."""
 
     @pytest.mark.parametrize("sig", SERIES_SIGS, ids=str)
@@ -246,6 +246,19 @@ class TestRotorSeries:
             got = rotor_exp(B)
             assert got.terms == want.terms and list(got.terms) == list(want.terms), sig
 
+    @pytest.mark.parametrize("sig", [Signature(2, 0), Signature(4, 0), Signature(2, 2)], ids=str)
+    def test_complex_closed_form_matches_multivector_series(self, sig):
+        """B <> B is a complex scalar: the closed form takes its complex square root."""
+        for coeff in (0.5j, 0.3 + 0.4j, -1.2j, 2.0 - 0.7j):
+            # e12 + e13 squares to a scalar: the cross terms anticommute
+            for blades in ([0b11], [0b011, 0b101] if sig.n == 4 else [0b11]):
+                B = Multivector(sig, {m: coeff for m in blades}, "complex")
+                square = geometric_product(B, B)
+                assert square.grades() <= {0} and isinstance(square.scalar_part(), complex)
+                got, want = rotor_exp(B), multivector_series(B, 1e-15)
+                assert got.field == "complex"
+                assert approx_equal(got, want, 1e-13), (sig, coeff, blades)
+
     @pytest.mark.parametrize("sig", [Signature(4, 0), Signature(5, 4)], ids=str)
     def test_large_bivector_does_not_converge(self, sig):
         B = (basis_blade(sig, [1, 2]) + basis_blade(sig, [3, 4]) * 2.0) * (100 / math.sqrt(5))
@@ -307,7 +320,44 @@ class TestVersorMatrix:
             assert abs(nab - na * nb) <= 1e-10 * max(1.0, abs(na * nb))
 
 
+def membership_reference(a, tol=1e-9):
+    """membership through versor_to_matrix, which forms a^-1 and the frame images itself."""
+    n_val = float(np.real(geometric_product(a.reverse(), a).scalar_part()))
+    is_even = all(k % 2 == 0 for k in a.grades())
+    try:
+        versor_to_matrix(a, tol)
+        preserves = True
+    except NonInvertible:
+        preserves = False
+    unit_norm = abs(abs(n_val) - 1.0) <= tol
+    verdict = "none"
+    if preserves and unit_norm:
+        verdict = ("spin_plus" if abs(n_val - 1.0) <= tol else "spin") if is_even else "pin"
+    return groups.MembershipReport(is_even, n_val, preserves, verdict)
+
+
 class TestMembership:
+    @pytest.mark.parametrize(
+        "sig", [S30, S13, Signature(2, 2), Signature(1, 1), Signature(6, 2), Signature(5, 4)], ids=str
+    )
+    def test_matches_versor_matrix_route(self, sig, monkeypatch):
+        """One rev(a) <> a and one frame-image pass; no versor_to_matrix or versor_inverse call."""
+        rng = np.random.default_rng(70 + sig.n)
+        one = Multivector.scalar(sig, 1.0)
+        cases = [random_versor(sig, rng, 2), random_versor(sig, rng, 3), random_homogeneous(sig, 1, rng),
+                 one + basis_blade(sig, [1]), one * 0.0, basis_blade(sig, [1, 2]) * 1.0 + one * 0.5]
+        if sig.n <= 8:
+            cases.append(rotor_exp(random_homogeneous(sig, 2, rng) * 0.3))
+        want = [membership_reference(a) for a in cases]
+
+        def forbidden(*args):
+            raise AssertionError("versor_to_matrix or versor_inverse called")
+
+        monkeypatch.setattr(groups, "versor_to_matrix", forbidden)
+        monkeypatch.setattr(groups, "versor_inverse", forbidden)
+        assert [membership(a) for a in cases] == want
+        assert any(r.preserves_vectors for r in want) and not all(r.preserves_vectors for r in want)
+
     def test_examples(self):
         R = rotor_exp(basis_blade(S30, [1, 2]) * 0.7)
         assert membership(R).verdict == "spin_plus"

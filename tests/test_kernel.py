@@ -1,8 +1,10 @@
-"""The per-signature blade tables and the two product routes built on them.
+"""The per-signature blade tables, the blade-matrix stacks at n = 8, and the
+three product routes built on them.
 
 The tables and the sparse loop's sign form are checked against the scalar
-bitmask rule, the dense route against the sparse loop and an index-list wedge,
-and the signatures above the table limit against the contracted-wedge oracle.
+bitmask rule, the dense routes against the sparse loop, the table contraction
+and an index-list wedge, the stacks against the Clifford relations, and the
+signatures above the table limit against the contracted-wedge oracle.
 """
 
 import numpy as np
@@ -20,14 +22,18 @@ from spinorlab.algebra import (
     _blade_product,
     _blade_tables,
     _blade_wedge,
+    _contract,
     _dense,
     _dense_apply,
+    _matrix_rows,
+    _reachable,
     _sparse_product,
     approx_equal,
     contracted_wedge,
     dense_table,
     geometric_product,
     geometric_product_contracted,
+    stack_products,
     wedge,
 )
 from spinorlab.errors import InvalidInput
@@ -152,15 +158,14 @@ def test_dense_and_sparse_routes_agree(complex_coeffs):
     rng = np.random.default_rng(21)
     for sig in (Signature(2, 1), Signature(3, 3), Signature(1, 5), Signature(4, 3), Signature(5, 3)):
         dim = 1 << sig.n
-        idx, G, W = _blade_tables(sig)
-        for multiple, table, is_wedge, public in ((1, G, False, geometric_product), (4, W, True, wedge)):
+        for multiple, is_wedge, public in ((1, False, geometric_product), (4, True, wedge)):
             switch = multiple * dim
             # term counts just below, at and above the switch point
             for count_a, count_b in ((1, switch - 1), (2, switch // 2), (4, switch // 2)):
                 count_a, count_b = min(count_a, dim), min(count_b, dim)
                 a = random_terms(sig, rng, count_a, complex_coeffs)
                 b = random_terms(sig, rng, count_b, complex_coeffs)
-                dense, slow = _dense_apply(a, b, idx, table), _sparse_product(a, b, is_wedge)
+                dense, slow = _dense_apply(a, b, is_wedge), _sparse_product(a, b, is_wedge)
                 assert approx_equal(dense, slow, 1e-12), (sig, count_a, count_b)
                 assert dense.field == slow.field
                 routed = _dense(a, b, multiple)
@@ -173,13 +178,12 @@ def test_dense_route_mixes_real_and_complex():
     rng = np.random.default_rng(27)
     for sig in (Signature(3, 3), Signature(8, 0)):
         dim = 1 << sig.n
-        idx, G, W = _blade_tables(sig)
         table = DenseTable(sig)
         for real_first in (True, False):
             a = random_terms(sig, rng, dim, complex_coeffs=not real_first)
             b = random_terms(sig, rng, dim, complex_coeffs=real_first)
-            for sign, is_wedge, apply in ((G, False, table.product), (W, True, table.wedge)):
-                dense = _dense_apply(a, b, idx, sign)
+            for is_wedge, apply in ((False, table.product), (True, table.wedge)):
+                dense = _dense_apply(a, b, is_wedge)
                 assert dense.field == "complex"
                 assert approx_equal(dense, _sparse_product(a, b, is_wedge), 1e-12), sig
                 cast = apply(a.to_complex().to_vector(), b.to_complex().to_vector())
@@ -279,3 +283,163 @@ def test_dense_table_limit():
     a, b = random_terms(sig, rng, 5), random_terms(sig, rng, 5)
     got = Multivector.from_vector(sig, table.product(a.to_vector(), b.to_vector()))
     assert approx_equal(got, geometric_product(a, b), 1e-12)
+
+
+# -- the matrix route at n = 8 ---------------------------------------------------
+
+N8_SIGS = [Signature(p, 8 - p) for p in range(9)]
+REAL_STACK = {(8, 0), (5, 3), (4, 4), (1, 7), (0, 8)}  # Cl(p,q) = Mat(16, R)
+
+
+def _random_stack(rng, count, kind, density=1.0):
+    stack = rng.normal(size=(count, 256))
+    if kind == "complex":
+        stack = stack + 1j * rng.normal(size=(count, 256))
+    return stack * (rng.random((count, 256)) < density)
+
+
+def _table_product(sig, a, b):
+    idx, G, _ = _blade_tables(sig)
+    return _contract(np.asarray(a), np.asarray(b), idx, G)
+
+
+@pytest.mark.parametrize("sig", N8_SIGS, ids=str)
+def test_matrix_stack_is_a_faithful_representation(sig):
+    rows, scale = _matrix_rows(sig)
+    assert rows.shape == (256, 256) and not rows.flags.writeable
+    assert rows.nbytes <= 1 << 20
+    assert (rows.dtype.kind == "f") == ((sig.p, sig.q) in REAL_STACK)
+    stack = rows.reshape(256, 16, 16)
+    gammas = stack[1 << np.arange(8)]
+    anti = gammas[:, None] @ gammas[None]
+    anti = anti + anti.transpose(1, 0, 2, 3)
+    want = 2.0 * np.einsum("ij,ab->ijab", np.diag(sig.metric_tuple()), np.eye(16))
+    assert np.array_equal(anti, want)  # entries are 0, +-1 and +-i: exact
+    for mask in range(256):  # ascending products of the generators
+        product = np.eye(16)
+        for i in range(8):
+            if mask >> i & 1:
+                product = product @ gammas[i]
+        assert np.array_equal(stack[mask], product), mask
+    rng = np.random.default_rng(40 + sig.p)
+    for kind in ("real", "complex"):
+        v = _random_stack(rng, 1, kind)[0]
+        T = (v @ rows).reshape(16, 16)
+        back = (T.T.reshape(-1) @ rows.T) * scale
+        assert np.abs(back - v).max() <= 1e-14 * np.abs(v).max()
+
+
+def test_cl80_stack_is_not_the_gamma_bundle():
+    from spinorlab.matrices import CL8_GAMMAS
+
+    stack = _matrix_rows(Signature(8, 0))[0].reshape(256, 16, 16)
+    assert not any(np.array_equal(stack[1 << i], g) for i, g in enumerate(CL8_GAMMAS))
+    assert not np.array_equal(stack[1 << np.arange(8)], np.stack(CL8_GAMMAS))
+
+
+@pytest.mark.parametrize("sig", N8_SIGS, ids=str)
+def test_matrix_route_matches_sparse_loop_and_tables(sig):
+    """Vectors, (m, k) stacks and Multivectors; real, complex and mixed."""
+    rng = np.random.default_rng(50 + sig.p)
+    table = DenseTable(sig)
+    for kind_a, kind_b in (("real", "real"), ("complex", "complex"),
+                           ("real", "complex"), ("complex", "real")):
+        A, B = _random_stack(rng, 3, kind_a, 0.6), _random_stack(rng, 2, kind_b)
+        want = _table_product(sig, A, B).transpose(1, 0, 2)
+        stacked = stack_products(sig, A, B)
+        assert stacked.shape == (3, 2, 256) and stacked.dtype == want.dtype
+        scale = np.abs(want).max()
+        assert np.abs(stacked - want).max() <= 1e-12 * scale
+        for i in range(3):
+            for j in range(2):
+                got = table.product(A[i], B[j])
+                assert got.dtype == want.dtype and np.abs(got - want[i, j]).max() <= 1e-12 * scale
+        a, b = (Multivector.from_vector(sig, v) for v in (A[0], B[0]))
+        assert _dense(a, b, 1)
+        product = geometric_product(a, b)
+        assert product.field == _sparse_product(a, b).field
+        assert approx_equal(product, _sparse_product(a, b), 1e-12)
+
+
+def test_matrix_route_takes_every_n8_product_and_nothing_else(monkeypatch):
+    """Products at n = 8 never reach the table contraction; wedges and other n do."""
+    rng = np.random.default_rng(55)
+    sig = Signature(5, 3)
+    a, b = random_terms(sig, rng, 256), random_terms(sig, rng, 256)
+    A = _random_stack(rng, 2, "real")
+    wedge_before = wedge(a, b)
+
+    def forbidden(*args):
+        raise AssertionError("table contraction called")
+
+    monkeypatch.setattr(algebra, "_contract", forbidden)
+    geometric_product(a, b)
+    DenseTable(sig).product(A[0], A[1])
+    stack_products(sig, A, A)
+    with pytest.raises(AssertionError, match="table contraction"):
+        wedge(a, b)
+    with pytest.raises(AssertionError, match="table contraction"):
+        DenseTable(Signature(4, 3)).product(A[0, :128], A[1, :128])
+    monkeypatch.undo()
+    assert wedge(a, b) == wedge_before
+    assert stack_products(sig, A[:0], A).shape == (0, 2, 256)
+    assert stack_products(sig, A, A[:0]).shape == (2, 0, 256)
+
+
+@pytest.mark.parametrize("sig", N8_SIGS, ids=str)
+def test_matrix_route_associates_and_distributes(sig):
+    rng = np.random.default_rng(70 + sig.p)
+    for density, kind in ((1.0, "real"), (0.4, "complex"), (0.25, "real")):
+        a, b, c = (Multivector.from_vector(sig, v) for v in _random_stack(rng, 3, kind, density))
+        assert _dense(a, b, 1)
+        lhs = geometric_product(geometric_product(a, b), c)
+        assert approx_equal(lhs, geometric_product(a, geometric_product(b, c)), 1e-10)
+        distributed = geometric_product(a, b) + geometric_product(a, c)
+        assert approx_equal(geometric_product(a, b + c), distributed, 1e-12)
+
+
+def _reached(a, b):
+    return {ma ^ mb for ma in np.flatnonzero(a).tolist() for mb in np.flatnonzero(b).tolist()}
+
+
+@pytest.mark.parametrize("sig", N8_SIGS, ids=str)
+def test_matrix_route_support_rule(sig):
+    """No term on a blade that no pair of nonzero coefficients reaches."""
+    rng = np.random.default_rng(60 + sig.p)
+    grades = np.bitwise_count(np.arange(256))
+    even = np.flatnonzero(grades % 2 == 0)
+    for count_a, count_b in ((20, 20), (16, 40), (64, 64), (100, 156), (128, 100)):
+        for kind in ("real", "complex"):
+            a = np.zeros(256, complex if kind == "complex" else float)
+            a[rng.choice(even, count_a, replace=False)] = _random_stack(rng, 1, kind)[0, :count_a]
+            b = np.zeros(256)
+            b[rng.choice(256, count_b, replace=False)] = rng.normal(size=count_b)
+            for x, y in ((a, b), (b, a)):
+                out = DenseTable(sig).product(x, y)
+                assert set(np.flatnonzero(out).tolist()) <= _reached(x, y)
+                assert np.abs(out - _table_product(sig, x, y)).max() <= 1e-12 * max(1.0, np.abs(out).max())
+    # even x even: every term even, the reachable set exactly for 20-term operands
+    a, b = np.zeros(256), np.zeros(256)
+    a[rng.choice(even, 20, replace=False)] = rng.normal(size=20)
+    b[rng.choice(even, 20, replace=False)] = rng.normal(size=20)
+    x, y = Multivector.from_vector(sig, a), Multivector.from_vector(sig, b)
+    out = geometric_product(x, y)
+    assert out.grades() <= {0, 2, 4, 6, 8}
+    assert set(out.terms) <= _reached(a, b)
+    assert set(out.terms) == set(_sparse_product(x, y).terms)
+    stacked = stack_products(sig, np.stack([a, b]), np.stack([b, a]))
+    assert not np.any(stacked[..., grades % 2 == 1])
+
+
+def test_reachable_mask_equals_pair_set():
+    rng = np.random.default_rng(65)
+    for count_a, count_b in ((1, 1), (1, 255), (5, 30), (128, 128), (100, 157), (200, 200)):
+        a, b = np.zeros(256), np.zeros(256)
+        a[rng.choice(256, count_a, replace=False)] = 1.5
+        b[rng.choice(256, count_b, replace=False)] = -2.0
+        reach = _reachable(a, b)
+        want = _reached(a, b)
+        if count_a + count_b > 256:
+            assert reach is None and want == set(range(256))
+        else:
+            assert set(np.flatnonzero(reach).tolist()) == want
