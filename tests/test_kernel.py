@@ -29,6 +29,7 @@ from spinorlab.algebra import (
     _reachable,
     _sparse_product,
     approx_equal,
+    blade_images,
     contracted_wedge,
     dense_table,
     geometric_product,
@@ -37,6 +38,7 @@ from spinorlab.algebra import (
     wedge,
 )
 from spinorlab.errors import InvalidInput
+from spinorlab.structure import hodge, volume_form
 
 TABLE_SIGS = [Signature(p, n - p) for n in range(7) for p in range(n + 1)] + [
     Signature(8, 0),
@@ -384,6 +386,26 @@ def test_matrix_route_takes_every_n8_product_and_nothing_else(monkeypatch):
     assert wedge(a, b) == wedge_before
     assert stack_products(sig, A[:0], A).shape == (0, 2, 256)
     assert stack_products(sig, A, A[:0]).shape == (2, 0, 256)
+
+
+@pytest.mark.parametrize("sig", [Signature(8, 0), Signature(1, 7), Signature(7, 1)], ids=str)
+def test_one_term_operand_stays_off_the_matrix_route(sig, monkeypatch):
+    """A blade times a full element is a signed copy of the element's coefficients:
+    exact on the sparse loop, where the matrix route would round every blade."""
+    rng = np.random.default_rng(80 + sig.p)
+    full = random_terms(sig, rng, 256, complex_coeffs=True)
+    blade = Multivector(sig, {0b1011: -2.5})
+    assert not _dense(blade, full, 1) and not _dense(full, blade, 1)
+    assert _dense(random_terms(sig, rng, 2), full, 1)
+    left, right = blade_images(sig, full.to_vector(), [0b1011])
+
+    def forbidden(*args):
+        raise AssertionError("matrix route called")
+
+    monkeypatch.setattr(algebra, "_matrix_product", forbidden)
+    assert np.array_equal(geometric_product(blade, full).to_vector(), -2.5 * left[0])
+    assert np.array_equal(geometric_product(full, blade).to_vector(), -2.5 * right[0])
+    assert hodge(full) == _sparse_product(full, volume_form(sig).tau)
 
 
 @pytest.mark.parametrize("sig", N8_SIGS, ids=str)
