@@ -34,11 +34,14 @@ a product, and right_product_matrix, which gathers the matrix of x -> x v.
 The matrix route takes every geometric product at n = DENSE_MAX_N: the dense
 branch of geometric_product, DenseTable.product and stack_products.  It uses
 Cl(p,q) -> Mat(16, R) or, after complexification, Mat(16, C) (Lounesto 2001,
-ch. 16-17): both operands are quantized through a per-signature stack of 256
-blade matrices, multiplied, and dequantized by the trace pairing
-tr(T B_M) / (16 e_M^2).  The stack is real where Cl(p,q) = Mat(16, R)
-(p - q = 0 or 2 mod 8) and a complex Jordan-Wigner stack elsewhere; one
-(256, 256) row array serves both directions, 512 KiB or 1 MiB.  Its rounding
+ch. 16-17): both operands are quantized through the signature's route bundle,
+multiplied as 16x16 matrices, and dequantized by the trace pairing
+tr(T B_M) / (16 e_M^2).  The bundle's stack of 256 blade matrices is real
+where Cl(p,q) = Mat(16, R) (p - q = 0 or 2 mod 8) and a complex Jordan-Wigner
+stack elsewhere, 512 KiB or 1 MiB.  RepBundle, defined here and re-exported
+by matrices, is also every gamma bundle's class: one quantize, one dequantize
+and one real-rows-times-complex helper (_matvec) serve both, and a bundle's
+(2^n, d^2) row view of its stack is the only copy.  The route's rounding
 spreads over every blade, so the result is masked to the blades r ^ s that
 some pair of nonzero coefficients a[r], b[s] reaches: even times even has no
 odd-grade term, as on the other routes.
@@ -49,8 +52,8 @@ rejects non-finite ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -227,6 +230,83 @@ def _blade_squares(sig: Signature) -> np.ndarray:
     return 1.0 - 2.0 * ((k * (k - 1) // 2 + negative) & 1)
 
 
+@dataclass(frozen=True)
+class RepBundle:
+    """Gamma matrices of one signature plus, built on first use, the stacked blade tensor.
+
+    `blades[mask]` is the ascending product of the generators in mask; it is
+    read-only and built once per bundle, so quantization, dequantization (both
+    through its (2^n, dim^2) row view) and the spinor bilinears are single
+    contractions over it.  quantize and dequantize take stacks over leading
+    axes and treat each entry as a separate call would, bit for bit.
+    """
+
+    sig: Signature
+    dim: int
+    field_tag: str
+    gammas: list = field(repr=False, default_factory=list)
+
+    @cached_property
+    def blades(self) -> np.ndarray:
+        """(2^n, dim, dim) stack of the ascending products (_ascending_products)."""
+        if not self.gammas:
+            raise InvalidInput("bundle has no gamma matrices")
+        return _ascending_products(self.gammas)
+
+    @cached_property
+    def blade_squares(self) -> np.ndarray:
+        """e_M^2 for every mask: the reversion sign of |M| times the generator squares in M."""
+        return _blade_squares(self.sig)
+
+    def gamma_blade(self, mask: int) -> np.ndarray:
+        """Matrix of the blade with the given index mask (ascending product), read-only."""
+        return self.blades[mask]
+
+    @property
+    def chirality(self) -> np.ndarray:
+        return self.gamma_blade((1 << self.sig.n) - 1)
+
+    def pairings(self, x: np.ndarray, y: np.ndarray, masks=slice(None)) -> np.ndarray:
+        """x^T blades[M] y for each listed mask, as (blades[masks] @ y) @ x (no conjugation)."""
+        blades = self.blades[masks]
+        gy = _matvec(blades.reshape(-1, self.dim), y).reshape(len(blades), self.dim)
+        return gy @ x
+
+    def quantize(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_M coeffs[..., M] blades[M] for coefficients indexed by blade mask on the last axis."""
+        coeffs = np.asarray(coeffs)
+        rows = self.blades.reshape(len(self.blades), -1)
+        if coeffs.shape[-1:] != (len(rows),):
+            raise InvalidInput(f"coefficients of {self.sig} need a last axis of {len(rows)}")
+        return _matvec(rows.T, coeffs).reshape(coeffs.shape[:-1] + (self.dim, self.dim))
+
+    def dequantize(self, T: np.ndarray) -> np.ndarray:
+        """Coefficients of T[...] on the blades by the trace pairing, tr(T blades[M]) / (dim e_M^2).
+
+        Inverts quantize when the bundle is faithful and irreducible (dim^2 = 2^n).
+        """
+        T = np.asarray(T)
+        rows = self.blades.reshape(len(self.blades), -1)
+        if self.dim * self.dim != len(rows) or T.shape[-2:] != (self.dim, self.dim):
+            raise InvalidInput(f"trace-pairing inverse needs {self.dim}x{self.dim} matrices "
+                               f"and dim^2 = 2^n blades")
+        flat = T.swapaxes(-1, -2).reshape(T.shape[:-2] + (len(rows),))  # tr(T B) = ravel(T^T) . ravel(B)
+        return _matvec(rows, flat) / (self.dim * self.blade_squares)
+
+
+def _matvec(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """rows @ v over the last axis of v, one matrix-vector product per leading index.
+
+    A stack thus repeats the arithmetic of single vectors bit for bit, which
+    one matrix-matrix product would not.  A real `rows` meets a complex v as
+    two real columns, never as a complex copy of rows.
+    """
+    if v.dtype.kind == "c" and rows.dtype.kind != "c":
+        pairs = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64).reshape(v.shape + (2,))
+        return (rows @ pairs).view(np.complex128)[..., 0]
+    return (rows @ v[..., None])[..., 0]
+
+
 # Generators of the matrix route, one tensor word each.  A word squares to -1
 # when it holds an odd number of "e" letters, and two words anticommute when
 # an odd number of their positions hold two different non-"i" letters.  Where
@@ -245,35 +325,14 @@ _REAL_WORDS = {
 _JORDAN_WIGNER = ("tiii", "eiii", "stii", "seii", "ssti", "ssei", "ssst", "ssse")
 
 
-def _matrix_generators(sig: Signature) -> list:
-    """The eight 16x16 generators of the matrix route for an n = 8 signature."""
-    words = _REAL_WORDS.get((sig.p, sig.q), _JORDAN_WIGNER)
-    return [_tensor_word(w) * (1 if (-1) ** w.count("e") == g else 1j)
-            for w, g in zip(words, sig.metric_tuple())]
-
-
 @lru_cache(maxsize=16)
-def _matrix_rows(sig: Signature) -> tuple:
-    """Row array and trace-pairing scale of the matrix route (n = DENSE_MAX_N only).
-
-    rows[M] is the raveled 16x16 matrix B_M of blade e_M.  Quantizing is
-    v @ rows; dequantizing T reads tr(T B_M) = ravel(T^T) . rows[M], times
-    scale[M] = 1 / (16 e_M^2).
-    """
-    rows = _ascending_products(_matrix_generators(sig)).reshape(1 << sig.n, -1)
-    return rows, 1.0 / (16 * _blade_squares(sig))
-
-
-def _times_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """x @ rows; a complex x meets a real rows as two real products.
-
-    numpy would cast the real rows to a complex copy on every call: a complex
-    Cl(8,0) product took about 400 us that way against 90 us split (2-vCPU
-    Xeon, one BLAS thread).
-    """
-    if x.dtype.kind == "c" and rows.dtype.kind != "c":
-        return (x.real @ rows) + 1j * (x.imag @ rows)
-    return x @ rows
+def _route_bundle(sig: Signature) -> RepBundle:
+    """The matrix route's bundle of an n = DENSE_MAX_N signature: eight 16x16 generators,
+    real where the listed words square to the metric, Jordan-Wigner otherwise."""
+    words = _REAL_WORDS.get((sig.p, sig.q), _JORDAN_WIGNER)
+    gammas = [_tensor_word(w) * (1 if (-1) ** w.count("e") == g else 1j)
+              for w, g in zip(words, sig.metric_tuple())]
+    return RepBundle(sig, 16, "real" if (sig.p, sig.q) in _REAL_WORDS else "complex", gammas)
 
 
 _HADAMARD = 1.0 - 2.0 * (np.bitwise_count(np.arange(16)[:, None] & np.arange(16)) & 1)
@@ -308,21 +367,14 @@ def _reachable(a: np.ndarray, b: np.ndarray):
 def _matrix_product(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Geometric products a b of coefficient arrays at n = DENSE_MAX_N, broadcast over leading axes.
 
-    Quantize both, multiply the 16x16 matrices, dequantize by the trace
-    pairing (module docstring).  Real meets complex as if cast first; real
-    operands give a real result, the complex stack's imaginary rounding dropped.
+    Quantize both through the route bundle, multiply the 16x16 matrices and
+    dequantize.  Real meets complex as if cast first; real operands give a
+    real result, the complex stack's imaginary rounding dropped.
     """
-    rows, scale = _matrix_rows(sig)
-    dim = len(rows)
-    split = a.size // dim
-    # both operands in one product, one pass over rows; concatenating casts real to complex
-    both = np.concatenate((a.reshape(-1, dim), b.reshape(-1, dim)))
-    quantized = _times_rows(both, rows)
-    X = quantized[:split].reshape(a.shape[:-1] + (16, 16))
-    Y = quantized[split:].reshape(b.shape[:-1] + (16, 16))
-    transposed = Y.swapaxes(-1, -2) @ X.swapaxes(-1, -2)  # (X Y)^T, so its rows pair with rows
-    out = _times_rows(transposed.reshape(transposed.shape[:-2] + (dim,)), rows.T) * scale
-    if both.dtype.kind != "c":
+    bundle, dtype = _route_bundle(sig), np.result_type(a, b)
+    X, Y = (bundle.quantize(x.astype(dtype, copy=False)) for x in (a, b))
+    out = bundle.dequantize(X @ Y)
+    if dtype.kind != "c":
         out = out.real
     reach = _reachable(a, b)
     return out if reach is None else np.where(reach, out, 0.0)
@@ -375,6 +427,15 @@ def stack_products(sig: Signature, A, B) -> np.ndarray:
     return _products(sig, A, B)
 
 
+def _number(value):
+    """A Python or numpy number as a float, or as a complex when its imaginary part
+    is nonzero; None for anything else.  The scalar operands of Multivector."""
+    if not isinstance(value, (int, float, complex, np.number)):
+        return None
+    value = complex(value)
+    return value if value.imag else value.real
+
+
 class Multivector:
     """Element of Cl(p,q) or its complexification: a sparse blade-to-coefficient map."""
 
@@ -415,9 +476,10 @@ class Multivector:
 
     @staticmethod
     def scalar(sig: Signature, value) -> "Multivector":
-        field = "complex" if isinstance(value, complex) and value.imag != 0 else "real"
-        val = value if field == "complex" else float(np.real(value))
-        return Multivector(sig, {0: val}, field)
+        value = _number(value)
+        if value is None:
+            raise InvalidInput("a scalar must be a Python or numpy number")
+        return Multivector(sig, {0: value}, "complex" if isinstance(value, complex) else "real")
 
     @classmethod
     def from_vector(cls, sig: Signature, v: np.ndarray, field: str | None = None) -> "Multivector":
@@ -479,7 +541,9 @@ class Multivector:
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if not isinstance(other, Multivector):
+            if _number(other) is None:
+                return NotImplemented
             other = Multivector.scalar(self.sig, other)
         self._require_same(other)
         field = "complex" if "complex" in (self.field, other.field) else "real"
@@ -494,27 +558,22 @@ class Multivector:
         return Multivector(self.sig, {m: -c for m, c in self.terms.items()}, self.field)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = Multivector.scalar(self.sig, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex, np.floating, np.complexfloating)):
-            field = self.field
-            if isinstance(other, (complex, np.complexfloating)) and complex(other).imag != 0:
-                field = "complex"
-            return Multivector(self.sig, {m: c * other for m, c in self.terms.items()}, field)
         if isinstance(other, Multivector):
             return geometric_product(self, other)
-        return NotImplemented
+        scale = _number(other)
+        if scale is None:
+            return NotImplemented
+        field = "complex" if isinstance(scale, complex) else self.field
+        return Multivector(self.sig, {m: c * scale for m, c in self.terms.items()}, field)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float, complex, np.floating, np.complexfloating)):
-            return self.__mul__(other)
-        return NotImplemented
+        return NotImplemented if isinstance(other, Multivector) else self.__mul__(other)
 
     def __xor__(self, other):
         return wedge(self, other)

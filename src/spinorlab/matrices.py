@@ -2,9 +2,10 @@
 
 Built-in bundles: Pauli (Cl(3,0) on 2x2 complex), Dirac and Weyl (C (x) Cl(1,3)
 on 4x4 complex, index 0..3 display order), and a real symmetric 16x16 set for
-Cl(8,0) with diagonal chirality.  The idempotent algorithm turns a primitive
-idempotent of a real-commutant algebra into an explicit matrix representation
-living inside the algebra itself.
+Cl(8,0) with diagonal chirality.  Each is an algebra.RepBundle, the class of
+the n = 8 matrix route's bundles too.  The idempotent algorithm turns a
+primitive idempotent of a real-commutant algebra into an explicit matrix
+representation living inside the algebra itself.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ import numpy as np
 
 from .algebra import (
     Multivector,
+    RepBundle,
     Signature,
-    _ascending_products,
-    _blade_squares,
     _tensor_word,
     approx_equal,
     blade_images,
@@ -62,73 +62,6 @@ WEYL_GAMMAS = [_block4(_ZERO2, _EYE2, _EYE2, _ZERO2)] + [
 
 
 CL8_GAMMAS = [_tensor_word(w) for w in _CL8_WORDS]
-
-
-@dataclass(frozen=True)
-class RepBundle:
-    """Gamma matrices of one signature plus, built on first use, the stacked blade tensor.
-
-    `blades[mask]` is the ascending product of the generators in mask; it is
-    read-only and built once per bundle, so quantization, dequantization and the
-    spinor bilinears are single contractions over it.
-    """
-
-    sig: Signature
-    dim: int
-    field_tag: str
-    gammas: list = field(repr=False, default_factory=list)
-
-    @cached_property
-    def blades(self) -> np.ndarray:
-        """(2^n, dim, dim) stack, doubled once per generator: for m < 2^i,
-        blades[m | 2^i] = blades[m] gamma_{i+1}, the ascending product."""
-        if not self.gammas:
-            raise InvalidInput("bundle has no gamma matrices")
-        return _ascending_products(self.gammas)
-
-    @cached_property
-    def blade_squares(self) -> np.ndarray:
-        """e_M^2 for every mask: the reversion sign of |M| times the generator squares in M."""
-        return _blade_squares(self.sig)
-
-    def gamma_blade(self, mask: int) -> np.ndarray:
-        """Matrix of the blade with the given index mask (ascending product), read-only."""
-        return self.blades[mask]
-
-    @property
-    def chirality(self) -> np.ndarray:
-        return self.gamma_blade((1 << self.sig.n) - 1)
-
-    def pairings(self, x: np.ndarray, y: np.ndarray, masks=slice(None)) -> np.ndarray:
-        """x^T blades[M] y for each listed mask, as (blades[masks] @ y) @ x (no conjugation)."""
-        blades = self.blades[masks]
-        gy = _matvec(blades.reshape(-1, self.dim), y).reshape(len(blades), self.dim)
-        return gy @ x
-
-    def quantize(self, coeffs: np.ndarray) -> np.ndarray:
-        """sum_M coeffs[M] blades[M] for a coefficient vector indexed by blade mask."""
-        rows = self.blades.reshape(len(self.blades), -1)
-        return _matvec(rows.T, np.asarray(coeffs)).reshape(self.dim, self.dim)
-
-    def dequantize(self, T: np.ndarray) -> np.ndarray:
-        """Coefficients of T on the blades by the trace pairing, tr(T blades[M]) / (dim e_M^2).
-
-        Inverts quantize when the bundle is faithful and irreducible (dim^2 = 2^n).
-        """
-        T = np.asarray(T)
-        if self.dim * self.dim != len(self.blades) or T.shape != (self.dim, self.dim):
-            raise InvalidInput(f"trace-pairing inverse needs a {self.dim}x{self.dim} matrix "
-                               f"and dim^2 = 2^n blades")
-        rows = self.blades.reshape(len(self.blades), -1)
-        return _matvec(rows, T.T.ravel()) / (self.dim * self.blade_squares)
-
-
-def _matvec(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """rows @ v; a real `rows` meets a complex v as two real columns, not as a complex copy."""
-    if np.iscomplexobj(v) and not np.iscomplexobj(rows):
-        pairs = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64).reshape(-1, 2)
-        return (rows @ pairs).view(np.complex128).ravel()
-    return rows @ v
 
 
 def builtin_gammas(name: str) -> RepBundle:

@@ -83,6 +83,39 @@ class TestConstructors:
         assert out.field == "complex"
 
 
+SCALARS = [2, 2.0, 2 + 0j, np.int32(2), np.int64(2), np.float32(2), np.float64(2),
+           np.complex64(2), np.complex128(2), 2 + 1j, np.complex128(2 + 1j)]
+
+
+@pytest.mark.parametrize("s", SCALARS, ids=lambda s: f"{type(s).__name__}({s})")
+def test_scalar_operands_on_either_side(s):
+    """A zero-imaginary complex scalar acts as its real part; a nonzero one makes the result complex."""
+    a = Multivector(S30, {0: 1.0, 0b011: -0.5})
+    value = complex(s) if complex(s).imag else complex(s).real
+    field = "complex" if isinstance(value, complex) else "real"
+    cases = [
+        (a + s, {0: 1.0 + value, 0b011: -0.5}),
+        (s + a, {0: value + 1.0, 0b011: -0.5}),
+        (a - s, {0: 1.0 - value, 0b011: -0.5}),
+        (s - a, {0: value - 1.0, 0b011: 0.5}),
+        (a * s, {0: value, 0b011: -0.5 * value}),
+        (s * a, {0: value, 0b011: -0.5 * value}),
+    ]
+    for got, want in cases:
+        assert isinstance(got, Multivector) and got.field == field
+        assert got == Multivector(S30, want, field)
+
+
+def test_non_numbers_are_not_scalars():
+    a = Multivector(S30, {0: 1.0})
+    for other in ("2", None, [2.0]):
+        with pytest.raises(InvalidInput):
+            Multivector.scalar(S30, other)
+        for op in (lambda: a + other, lambda: other + a, lambda: a - other, lambda: a * other):
+            with pytest.raises(TypeError):
+                op()
+
+
 class TestGeometricProduct:
     def test_golden_product_sig42(self):
         a = basis_blade(S42, [1]) + basis_blade(S42, [3, 6])

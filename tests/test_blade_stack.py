@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from spinorlab.algebra import Multivector, Signature, geometric_product, permutation_sign
+from spinorlab.algebra import Multivector, Signature, _route_bundle, geometric_product, permutation_sign
 from spinorlab.errors import InvalidInput
 from spinorlab.m8 import (
     SIG80,
@@ -90,6 +90,40 @@ class TestStack:
             builtin_gammas("pauli").dequantize(np.eye(2))
         with pytest.raises(InvalidInput):
             builtin_gammas("cl8").dequantize(np.eye(4))
+        for bad in (np.ones(16), np.ones((2, 255)), np.float64(1.0)):
+            with pytest.raises(InvalidInput):
+                builtin_gammas("cl8").quantize(bad)
+        for bad in (np.ones(256), np.ones((3, 16, 4)), np.ones((16, 16, 2))):
+            with pytest.raises(InvalidInput):
+                builtin_gammas("cl8").dequantize(bad)
+
+
+STACKED_BUNDLES = [pytest.param(builtin_gammas(name), id=name) for name in BUNDLES] + [
+    pytest.param(_route_bundle(Signature(p, 8 - p)), id=f"route-Cl({p},{8 - p})") for p in range(9)
+]
+
+
+@pytest.mark.parametrize("rep", STACKED_BUNDLES)
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_stacked_calls_repeat_the_single_calls(rep, kind):
+    """quantize and dequantize over leading axes equal the per-entry calls bit for bit."""
+    rng = np.random.default_rng(47)
+    blades, dim = 1 << rep.sig.n, rep.dim
+    coeffs = rng.normal(size=(2, 3, blades))
+    matrices = rng.normal(size=(5, dim, dim))
+    if kind == "complex":
+        coeffs = coeffs + 1j * rng.normal(size=coeffs.shape)
+        matrices = matrices + 1j * rng.normal(size=matrices.shape)
+    T = rep.quantize(coeffs)
+    assert T.shape == (2, 3, dim, dim)
+    assert np.array_equal(T, [[rep.quantize(c) for c in line] for line in coeffs])
+    if dim * dim != blades:  # Pauli: no trace-pairing inverse
+        return
+    back = rep.dequantize(matrices)
+    assert back.shape == (5, blades)
+    assert np.array_equal(back, [rep.dequantize(m) for m in matrices])
+    assert np.abs(rep.dequantize(T) - coeffs).max() <= 1e-14 * np.abs(coeffs).max()
+    assert np.abs(rep.quantize(back) - matrices).max() <= 1e-14 * np.abs(matrices).max()
 
 
 class TestContractions:

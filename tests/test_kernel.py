@@ -25,8 +25,8 @@ from spinorlab.algebra import (
     _contract,
     _dense,
     _dense_apply,
-    _matrix_rows,
     _reachable,
+    _route_bundle,
     _sparse_product,
     approx_equal,
     blade_images,
@@ -307,11 +307,13 @@ def _table_product(sig, a, b):
 
 @pytest.mark.parametrize("sig", N8_SIGS, ids=str)
 def test_matrix_stack_is_a_faithful_representation(sig):
-    rows, scale = _matrix_rows(sig)
+    bundle = _route_bundle(sig)
+    assert _route_bundle(sig) is bundle
+    stack = bundle.blades
+    rows = stack.reshape(256, -1)
     assert rows.shape == (256, 256) and not rows.flags.writeable
-    assert rows.nbytes <= 1 << 20
+    assert rows.nbytes <= 1 << 20 and np.shares_memory(rows, stack)
     assert (rows.dtype.kind == "f") == ((sig.p, sig.q) in REAL_STACK)
-    stack = rows.reshape(256, 16, 16)
     gammas = stack[1 << np.arange(8)]
     anti = gammas[:, None] @ gammas[None]
     anti = anti + anti.transpose(1, 0, 2, 3)
@@ -326,15 +328,14 @@ def test_matrix_stack_is_a_faithful_representation(sig):
     rng = np.random.default_rng(40 + sig.p)
     for kind in ("real", "complex"):
         v = _random_stack(rng, 1, kind)[0]
-        T = (v @ rows).reshape(16, 16)
-        back = (T.T.reshape(-1) @ rows.T) * scale
+        back = bundle.dequantize(bundle.quantize(v))
         assert np.abs(back - v).max() <= 1e-14 * np.abs(v).max()
 
 
 def test_cl80_stack_is_not_the_gamma_bundle():
     from spinorlab.matrices import CL8_GAMMAS
 
-    stack = _matrix_rows(Signature(8, 0))[0].reshape(256, 16, 16)
+    stack = _route_bundle(Signature(8, 0)).blades
     assert not any(np.array_equal(stack[1 << i], g) for i, g in enumerate(CL8_GAMMAS))
     assert not np.array_equal(stack[1 << np.arange(8)], np.stack(CL8_GAMMAS))
 
