@@ -3,8 +3,11 @@
 Blades are encoded as bitmasks over the generators e^1..e^n (bit i-1 set means
 generator i is present); the empty mask is the scalar unit.  Products carry
 signs from transposition counting and metric factors diag(+1^p, -1^q) on the
-contracted indices.  Coefficients are double precision, real or complex, and
-stored sparsely with exact zeros pruned.
+contracted indices.  Coefficients are double precision, real or complex.  A
+Multivector holds them sparsely, as terms with exact zeros pruned, or as a
+read-only coefficient vector indexed by blade mask, or both: the dense routes
+and from_vector keep the vector and build the terms on first read, a dict-built
+instance builds and keeps the vector on its first to_vector call.
 
 The sign's parity, swaps(a, b) + |a & b & negative generators|, is bilinear
 over GF(2): it equals |b & H(a)| with H(a) = (a >> 1) ^ (a >> 2) ^ ... ^
@@ -21,15 +24,19 @@ cheaply).  At n = 8 a one-term operand keeps the product on the sparse loop:
 it is then an exact signed copy of the other operand's 2^n coefficients,
 which the matrix route would round.
 
-The table route contracts coefficient vectors through the signature's blade
-tables, out[c] = sum_r va[r] vb[r ^ c] T[r, c] with T[r, c] the sign of
-e_r e_{r^c} (wedge: zero where the blades overlap).  The tables are built once
-per signature in one vectorised pass and stored as uint8 index and int8 signs,
-3 * 4^n bytes: 192 KiB at n = 8; they exist up to n = 10 (uint16 index,
-4 MiB).  One blocked contraction serves vectors and stacks alike.  It takes
-every wedge, every product below n = 8, DenseTable at n = 9 and 10,
-blade_images, which gathers the blade multiples e_M v and v e_M without forming
-a product, and right_product_matrix, which gathers the matrix of x -> x v.
+The table route contracts coefficient vectors through the signature's signed
+gather index, out[c] = sum_r va[r] vb2[index[r, c]] with vb2 = concat(vb, -vb, 0):
+index[r, c] is r ^ c, plus 2^n where e_r e_{r^c} = -e_c, and the zero slot
+2^(n+1) where a wedge's blades overlap, so one gather applies the sign and one
+matmul sums.  Each signature has one index per kind, product and wedge, built
+on first use in one vectorised pass: intp (a narrower index makes numpy cast
+through a buffer on every gather), 8 * 4^n bytes each, 32 KiB at n = 6 and
+512 KiB at n = 8, up to n = 10 (8 MiB).  A signature whose products take the
+matrix route builds no product index for them.  One blocked contraction serves
+vectors and stacks alike.  It takes every wedge, every product below n = 8,
+DenseTable at n = 9 and 10, blade_images, which gathers the blade multiples
+e_M v and v e_M without forming a product, and right_product_matrix, which
+gathers the matrix of x -> x v.
 
 The matrix route takes every geometric product at n = DENSE_MAX_N: the dense
 branch of geometric_product, DenseTable.product and stack_products.  It uses
@@ -62,7 +69,7 @@ from .errors import InvalidInput, SignatureMismatch
 
 MAX_GENERATORS = 16
 DENSE_MAX_N = 8  # dense routes only up to here; the matrix route at exactly this n
-DENSE_TABLE_MAX_N = 10  # largest signature with blade tables (DenseTable, stacks)
+DENSE_TABLE_MAX_N = 10  # largest signature with gather indices (DenseTable, stacks)
 
 
 @dataclass(frozen=True)
@@ -146,48 +153,65 @@ def _grade(mask: int) -> int:
     return bin(mask).count("1")
 
 
-@lru_cache(maxsize=64)
-def _blade_tables(sig: Signature) -> tuple:
-    """Gather index, sign table and wedge sign table of one signature.
-
-    idx[a, k] = a ^ k, G[a, k] = sign of e_a e_{a^k} (= G[a, k] e_k) and
-    W[a, k] = G[a, k] where a and a ^ k share no generator, else 0.  The sign
-    is the parity of |b & H(a)| (module docstring), so one bitwise_count over
-    the table gives it.
-    Tables stop at n = DENSE_TABLE_MAX_N (a 16-bit index, 4 MiB).
-    """
+def _check_table_limit(sig: Signature):
     if sig.n > DENSE_TABLE_MAX_N:
-        raise InvalidInput(f"blade tables limited to n <= {DENSE_TABLE_MAX_N}")
+        raise InvalidInput(f"gather indices limited to n <= {DENSE_TABLE_MAX_N}")
+
+
+@lru_cache(maxsize=64)
+def _signed_index(sig: Signature, kind: str) -> np.ndarray:
+    """Sign-folded gather index of one signature for kind "product" or "wedge".
+
+    A coefficient vector b is gathered from _signed(b) = concat(b, -b, 0):
+    index[r, c] = r ^ c where e_r e_{r^c} = +e_c, (r ^ c) + 2^n where it is
+    -e_c, and 2^(n+1), the zero slot, where a wedge's blades r and r ^ c
+    overlap.  The sign is the parity of |(r ^ c) & H(r)| (module docstring), so
+    one bitwise_count over the table gives it.  Read-only intp, 8 * 4^n bytes;
+    tables stop at n = DENSE_TABLE_MAX_N.
+    """
+    _check_table_limit(sig)
     dim = 1 << sig.n
-    a = np.arange(dim, dtype=np.uint8 if sig.n <= 8 else np.uint16)
-    h = a & a.dtype.type((dim - 1) ^ ((1 << sig.p) - 1))
+    r = np.arange(dim, dtype=np.uint16)  # 16-bit work arrays keep the build's temporaries small
+    h = r & np.uint16((dim - 1) ^ ((1 << sig.p) - 1))
     for s in range(1, sig.n):
-        h ^= a >> s
-    idx = a[:, None] ^ a
-    G = 1 - 2 * (np.bitwise_count(idx & h[:, None]) & 1).astype(np.int8)
-    W = np.where(a[:, None] & idx, np.int8(0), G)
-    for table in (idx, G, W):
-        table.flags.writeable = False
-    return idx, G, W
+        h ^= r >> s
+    xor = r[:, None] ^ r
+    index = xor | (np.bitwise_count(xor & h[:, None]) & 1).astype(np.uint16) << sig.n
+    if kind == "wedge":
+        index[(r[:, None] & xor) != 0] = 2 * dim
+    index = index.astype(np.intp)
+    index.flags.writeable = False
+    return index
+
+
+_ZERO_SLOT = np.zeros(1)
+
+
+def _signed(b: np.ndarray) -> np.ndarray:
+    """concat(b, -b, 0) over the last axis: what a signed index gathers from."""
+    zero = _ZERO_SLOT if b.ndim == 1 else np.zeros(b.shape[:-1] + (1,), b.dtype)
+    return np.concatenate((b, -b, zero), axis=-1)
 
 
 _GATHER_ENTRIES = 1 << 14  # entries gathered per block: bounds the temporary at 128 KiB of float64
 
 
-def _contract(a: np.ndarray, b: np.ndarray, idx: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """out[..., c] = sum_r a[..., r] b[..., r ^ c] table[r, c], a block of rows r at a time.
+def _contract(a: np.ndarray, b: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """out[..., c] = sum_r a[..., r] (+-b or 0)[..., index[r, c]], a block of rows r at a time.
 
     a and b are coefficient vectors or (count, 2^n) stacks, real or complex; for
     stacks A (m rows) and B (k rows) the result is out[j, i, c], the product
-    A[i] B[j].  Each block gathers b[..., idx[rows]] for as many rows as keep
-    the temporary near _GATHER_ENTRIES entries (at least one row, b.size
-    entries), whatever the stacks' heights are.
+    A[i] B[j].  Each block gathers rows of the signed index from _signed(b),
+    for as many rows as keep the temporary near _GATHER_ENTRIES entries (at
+    least one row, b.size entries), whatever the stacks' heights are.  A
+    vector gathers with one index array, a stack with np.take.
     """
+    source = _signed(b)
     step = max(1, _GATHER_ENTRIES // max(1, b.size))
     out = None
-    for r in range(0, len(idx), step):
-        x = b[..., idx[r : r + step]]  # x[..., a, c] = b[..., a ^ c]
-        x *= table[r : r + step]
+    for r in range(0, len(index), step):
+        rows = index[r : r + step]
+        x = source[rows] if b.ndim == 1 else np.take(source, rows, axis=-1)  # x[..., r, c]
         part = a[..., r : r + step] @ x
         if out is None:
             out = part
@@ -380,16 +404,35 @@ def _matrix_product(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out if reach is None else np.where(reach, out, 0.0)
 
 
+def _coefficients(sig: Signature, v, ndim: int = 1) -> np.ndarray:
+    """v as a float or complex array whose last axis runs over the 2^n blades:
+    a vector (ndim 1) or a (count, 2^n) stack (ndim 2); InvalidInput otherwise.
+    Booleans and integers are read as floats."""
+    dim = 1 << sig.n
+    try:
+        v = np.asarray(v)
+    except ValueError:  # ragged nesting
+        v = np.empty(0, object)
+    if v.ndim == ndim and v.shape[-1] == dim and v.dtype.kind in "biufc":
+        return v if v.dtype.kind in "fc" else v.astype(np.float64)
+    shape = f"a 1-D array of {dim}" if ndim == 1 else f"(count, {dim}) arrays of"
+    raise InvalidInput(f"coefficients of {sig} must be {shape} numbers")
+
+
 def blade_images(sig: Signature, v, masks=slice(None)) -> tuple:
     """Coefficient rows of e_M v and v e_M for the listed blade masks M, by a gather.
 
-    (e_M v)[c] = v[M ^ c] G[M, c] and (v e_M)[c] = v[M ^ c] G[M ^ c, c]: both
-    read v's coefficients and the sign table; no product is formed.
+    (e_M v)[c] = v[M ^ c] G[M, c] and (v e_M)[c] = v[M ^ c] G[M ^ c, c], with G
+    the sign of e_r e_{r^c}: both gather v's signed coefficients through the
+    product index; no product is formed.
     """
-    idx, G, _ = _blade_tables(sig)
-    rows = idx[masks]
-    gathered = np.asarray(v)[rows]
-    return gathered * G[masks], gathered * np.take_along_axis(G, rows, axis=0)
+    dim = 1 << sig.n
+    index = _signed_index(sig, "product")
+    source = _signed(_coefficients(sig, v))
+    left = index[masks]
+    xor = left & (dim - 1)
+    right = xor | index[xor, np.arange(dim)] & dim  # the sign of e_{M^c} e_M
+    return source[left], source[right]
 
 
 def right_product_matrix(sig: Signature, v) -> np.ndarray:
@@ -398,18 +441,16 @@ def right_product_matrix(sig: Signature, v) -> np.ndarray:
     Row M is e_M v, v[M ^ c] G[M, c]: the first output of blade_images over all
     masks, without its second gather.
     """
-    idx, G, _ = _blade_tables(sig)
-    return np.asarray(v)[idx] * G
+    return _signed(_coefficients(sig, v))[_signed_index(sig, "product")]
 
 
 def _products(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Geometric products of two coefficient vectors, or of stacks a (m rows) and
     b (k rows) as out[i, j] = a[i] b[j]: the matrix route at n = DENSE_MAX_N, the
-    blade tables otherwise."""
+    signed product index otherwise."""
     if sig.n == DENSE_MAX_N:
         return _matrix_product(sig, a, b) if a.ndim == 1 else _matrix_product(sig, a[:, None], b[None])
-    idx, G, _ = _blade_tables(sig)
-    out = _contract(a, b, idx, G)
+    out = _contract(a, b, _signed_index(sig, "product"))
     return out if a.ndim == 1 else out.transpose(1, 0, 2)
 
 
@@ -420,11 +461,7 @@ def stack_products(sig: Signature, A, B) -> np.ndarray:
     result is the (m, k, 2^n) array out[i, j, c] = sum_a A[i, a] B[j, a ^ c] G[a, c],
     one batched matmul of blade matrices at n = DENSE_MAX_N, a table contraction otherwise.
     """
-    dim = 1 << sig.n
-    A, B = np.asarray(A), np.asarray(B)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != dim or B.shape[1] != dim:
-        raise InvalidInput(f"coefficient stacks of {sig} must be (count, {dim}) arrays")
-    return _products(sig, A, B)
+    return _products(sig, _coefficients(sig, A, 2), _coefficients(sig, B, 2))
 
 
 def _number(value):
@@ -437,9 +474,18 @@ def _number(value):
 
 
 class Multivector:
-    """Element of Cl(p,q) or its complexification: a sparse blade-to-coefficient map."""
+    """Element of Cl(p,q) or its complexification: a blade-to-coefficient map.
 
-    __slots__ = ("sig", "field", "terms")
+    An instance holds its terms (a dict from blade mask to a nonzero Python
+    float or complex), its read-only coefficient vector indexed by blade mask,
+    or both; each is built from the other on first access and then kept.  The
+    dense routes and from_vector return _VectorMultivector, which starts from
+    the vector.  Terms built from a vector run in ascending mask order with
+    exact zeros pruned, and a vector reads +0.0 at every exact zero, so an
+    instance reads the same whichever it was built from.
+    """
+
+    __slots__ = ("sig", "field", "terms", "_vector")  # _vector is unset until to_vector
 
     def __init__(self, sig: Signature, terms: dict, field: str = "real"):
         if field not in ("real", "complex"):
@@ -465,6 +511,26 @@ class Multivector:
         object.__setattr__(mv, "terms", terms)
         return mv
 
+    @staticmethod
+    def _of_vector(sig: Signature, v: np.ndarray) -> "Multivector":
+        """Wrap a copy of a float or complex coefficient vector of the right length.
+
+        The copy is float64 or complex128, read-only, and reads +0.0 at every
+        exact zero (a complex entry keeps a signed-zero part when the other is
+        nonzero); the field follows the dtype.
+        """
+        if v.dtype.kind == "c":
+            v = v.astype(np.complex128)
+            v[v == 0] = 0
+        else:
+            v = np.add(v, 0.0, dtype=np.float64)
+        v.flags.writeable = False
+        mv = object.__new__(_VectorMultivector)
+        object.__setattr__(mv, "sig", sig)
+        object.__setattr__(mv, "field", "complex" if v.dtype.kind == "c" else "real")
+        object.__setattr__(mv, "_vector", v)
+        return mv
+
     def __setattr__(self, *args):
         raise AttributeError("Multivector is immutable")
 
@@ -483,20 +549,14 @@ class Multivector:
 
     @classmethod
     def from_vector(cls, sig: Signature, v: np.ndarray, field: str | None = None) -> "Multivector":
-        """Multivector of a dense coefficient vector indexed by blade mask; zeros are pruned."""
-        v = np.asarray(v)
-        if v.shape != (1 << sig.n,):
-            raise InvalidInput(f"coefficient vector of {sig} must have {1 << sig.n} entries")
+        """Multivector of a dense coefficient vector indexed by blade mask, copied; zeros are pruned."""
+        v = _coefficients(sig, v)
         is_complex = v.dtype.kind == "c"
         if field is None:
             field = "complex" if is_complex else "real"
         elif field == "real" and is_complex:
             raise InvalidInput("complex coefficients for a real multivector")
-        dtype = np.complex128 if field == "complex" else np.float64
-        if v.dtype != dtype:
-            v = v.astype(dtype)
-        nz = np.flatnonzero(v)
-        return cls._trusted(sig, dict(zip(nz.tolist(), v[nz].tolist())), field)
+        return Multivector._of_vector(sig, v.astype(np.complex128) if field == "complex" and not is_complex else v)
 
     # -- inspection ---------------------------------------------------------
 
@@ -520,12 +580,21 @@ class Multivector:
         return top if total == total else math.nan
 
     def to_vector(self) -> np.ndarray:
-        """Dense coefficient vector indexed by blade mask (complex128 for the complex field)."""
+        """Dense coefficient vector indexed by blade mask (complex128 for the complex field), read-only."""
+        try:
+            return self._vector
+        except AttributeError:
+            pass
         dtype = np.complex128 if self.field == "complex" else np.float64
         v = np.zeros(1 << self.sig.n, dtype=dtype)
         count = len(self.terms)
         v[np.fromiter(self.terms, np.intp, count)] = np.fromiter(self.terms.values(), dtype, count)
+        v.flags.writeable = False
+        object.__setattr__(self, "_vector", v)
         return v
+
+    def _term_count(self) -> int:
+        return len(self.terms)
 
     # -- field handling -----------------------------------------------------
 
@@ -639,6 +708,64 @@ class Multivector:
         return " + ".join(bits).replace("+ -", "- ")
 
 
+_TERMS_SLOT = Multivector.__dict__["terms"]
+
+
+@lru_cache(maxsize=None)
+def _grade_flips(n: int, residues: tuple) -> np.ndarray:
+    """Read-only mask of the blades whose grade mod 4 is one of residues."""
+    flips = np.isin(np.bitwise_count(np.arange(1 << n)) & 3, residues)
+    flips.flags.writeable = False
+    return flips
+
+
+class _VectorMultivector(Multivector):
+    """A Multivector built from its coefficient vector; `terms` is built on first read.
+
+    Multivector's instances read `terms` straight from its slot.  Here the
+    three involutions and a finite real scale of a real element, the maps
+    between a versor's products, read the vector and return vector-built
+    results; each negates or multiplies the same floats in the same way as the
+    term-by-term method, so the results are the same bit for bit.
+    """
+
+    __slots__ = ()
+
+    def _negated_where(self, residues: tuple) -> "Multivector":
+        v = self._vector
+        return Multivector._of_vector(self.sig, np.where(_grade_flips(self.sig.n, residues), -v, v))
+
+    def grade_involution(self) -> "Multivector":
+        return self._negated_where((1, 3))
+
+    def reverse(self) -> "Multivector":
+        return self._negated_where((2, 3))  # k (k - 1) / 2 odd
+
+    def conjugate(self) -> "Multivector":
+        return self._negated_where((1, 2))  # k (k + 1) / 2 odd
+
+    def __mul__(self, other):
+        scale = None if isinstance(other, Multivector) else _number(other)
+        if self.field == "real" and isinstance(scale, float) and math.isfinite(scale):
+            return Multivector._of_vector(self.sig, self._vector * scale)
+        return Multivector.__mul__(self, other)
+
+    @property
+    def terms(self) -> dict:
+        try:
+            return _TERMS_SLOT.__get__(self)
+        except AttributeError:
+            pass
+        v = self._vector
+        nz = np.flatnonzero(v)
+        terms = dict(zip(nz.tolist(), v[nz].tolist()))
+        _TERMS_SLOT.__set__(self, terms)
+        return terms
+
+    def _term_count(self) -> int:
+        return int(np.count_nonzero(self._vector))
+
+
 # -- spec-level operations ----------------------------------------------------
 
 
@@ -673,22 +800,22 @@ def _dense(a: Multivector, b: Multivector, multiple: int) -> bool:
     """Route rule: dense when n <= DENSE_MAX_N and |a|*|b| >= multiple * 2^n, except
     that at n = DENSE_MAX_N a one-term operand keeps the product on the sparse loop,
     where it is an exact signed copy; the matrix route would round every blade."""
-    n, count_a, count_b = a.sig.n, len(a.terms), len(b.terms)
+    n = a.sig.n
+    if n > DENSE_MAX_N:
+        return False
+    count_a, count_b = a._term_count(), b._term_count()
     if n == DENSE_MAX_N and min(count_a, count_b) == 1:
         return False
-    return n <= DENSE_MAX_N and count_a * count_b >= multiple << n
+    return count_a * count_b >= multiple << n
 
 
 def _dense_apply(a: Multivector, b: Multivector, wedge: bool = False) -> Multivector:
     va, vb = a.to_vector(), b.to_vector()
     if wedge:
-        idx, _, W = _blade_tables(a.sig)
-        out = _contract(va, vb, idx, W)
+        out = _contract(va, vb, _signed_index(a.sig, "wedge"))
     else:
         out = _products(a.sig, va, vb)
-    field = "complex" if out.dtype.kind == "c" else "real"
-    nz = np.flatnonzero(out)
-    return Multivector._trusted(a.sig, dict(zip(nz.tolist(), out[nz].tolist())), field)
+    return Multivector._of_vector(a.sig, out)
 
 
 def _sparse_product(a: Multivector, b: Multivector, wedge: bool = False) -> Multivector:
@@ -884,20 +1011,22 @@ def approx_equal(a: Multivector, b: Multivector, tol: float = 1e-12) -> bool:
 
 
 class DenseTable:
-    """Dense products of one signature's coefficient vectors: a view on its blade
-    tables, except that the geometric product at n = DENSE_MAX_N takes the matrix route."""
+    """Dense products of one signature's coefficient vectors: a view on its signed
+    gather indices, except that the geometric product at n = DENSE_MAX_N takes the
+    matrix route.  Each method takes two 1-D array-likes of 2^n numbers."""
 
     def __init__(self, sig: Signature):
+        _check_table_limit(sig)
         self.sig = sig
         self.dim = 1 << sig.n
-        self._idx, _, self._wedge = _blade_tables(sig)
 
-    def product(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-        return _products(self.sig, np.asarray(va), np.asarray(vb))
+    def product(self, va, vb) -> np.ndarray:
+        return _products(self.sig, _coefficients(self.sig, va), _coefficients(self.sig, vb))
 
-    def wedge(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-        """Exterior product of two coefficient vectors through the wedge sign table."""
-        return _contract(va, vb, self._idx, self._wedge)
+    def wedge(self, va, vb) -> np.ndarray:
+        """Exterior product of two coefficient vectors through the signed wedge index."""
+        va, vb = _coefficients(self.sig, va), _coefficients(self.sig, vb)
+        return _contract(va, vb, _signed_index(self.sig, "wedge"))
 
 
 @lru_cache(maxsize=8)

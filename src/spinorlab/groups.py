@@ -147,11 +147,11 @@ def _frame_images(a: Multivector, inv: Multivector, tol: float) -> np.ndarray:
             [geometric_product(geometric_product(hat, basis_blade(sig, [j])), inv).to_vector()
              for j in range(1, sig.n + 1)]
         )
-    off_grade = np.bitwise_count(np.arange(dim)) != 1
-    for image in images:
-        scale = max(1.0, float(np.abs(image).max()))
-        if not float(np.abs(image[off_grade]).max(initial=0.0)) <= tol * scale:
-            raise NonInvertible("twisted adjoint does not preserve grade 1: not a versor")
+    magnitudes = np.abs(images)
+    scale = np.maximum(1.0, magnitudes.max(axis=1))  # a NaN image gives a NaN scale and fails
+    off_grade = magnitudes[:, np.bitwise_count(np.arange(dim)) != 1].max(axis=1, initial=0.0)
+    if not (off_grade <= tol * scale).all():
+        raise NonInvertible("twisted adjoint does not preserve grade 1: not a versor")
     return images
 
 

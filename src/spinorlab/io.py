@@ -49,7 +49,7 @@ def _indices_to_mask(indices, n: int) -> int:
 def multivector_to_json(mv: Multivector) -> dict:
     terms = []
     for mask in sorted(mv.terms, key=lambda m: (bin(m).count("1"), m)):
-        c = complex(mv.terms[mask])
+        c = mv.terms[mask]  # a float's .real is the float itself: the document shares it
         entry = {"indices": _mask_to_indices(mask), "re": c.real}
         if mv.field == "complex":
             entry["im"] = c.imag

@@ -220,11 +220,12 @@ def rep_from_idempotent(sig: Signature, f1: Multivector, tol: float = 1e-9) -> I
     """Matrix representation of Cl(p,q) from a primitive idempotent f1.
 
     Computes the minimal left ideal Cl <> f1 by rank analysis of the blade
-    images e_M <> f1, gathered from f1's coefficients and the sign table, picks
-    the column basis {E_A1} by a pivoted scan, solves the dual basis {E_1A}
-    from E_1A <> E_B1 = delta f1, and assembles E_AB = E_A1 <> E_1B on first
-    read of Emat; the products are batched over the blade tables.  Only the
-    real-commutant case is supported: f1 <> Cl <> f1 must be one-dimensional over R.
+    images e_M <> f1, gathered from f1's coefficients through the product
+    index, picks the column basis {E_A1} by a pivoted scan, solves the dual
+    basis {E_1A} from E_1A <> E_B1 = delta f1, and assembles E_AB = E_A1 <> E_1B
+    on first read of Emat; the products are batched over the gather indices.
+    Only the real-commutant case is supported: f1 <> Cl <> f1 must be
+    one-dimensional over R.
     """
     if f1.sig != sig:
         raise InvalidInput("idempotent signature mismatch")

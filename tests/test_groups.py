@@ -373,3 +373,37 @@ class TestMembership:
         rep = membership(a)
         assert rep.is_even and abs(rep.norm_N + 1.0) <= 1e-12
         assert rep.verdict == "spin"
+
+
+class TestFrameImageCheck:
+    """The off-grade check of the frame images runs once over the (n, 2^n) stack."""
+
+    @pytest.mark.parametrize("sig", [S30, Signature(2, 2), Signature(5, 4)], ids=str)
+    def test_nan_carrying_versor_is_rejected(self, sig):
+        R = rotor_exp(basis_blade(sig, [1, 2]) * 0.4)
+        bad = Multivector(sig, {**R.terms, 0b11: math.nan})
+        with pytest.raises(NonInvertible, match="does not preserve grade 1: not a versor"):
+            versor_to_matrix(bad)
+        report = membership(bad)
+        assert not report.preserves_vectors and report.verdict == "none"
+
+    def test_nan_in_a_grade_one_entry_fails(self, monkeypatch):
+        """A NaN image fails even where only a grade-1 entry carries the NaN."""
+        R = rotor_exp(basis_blade(S30, [1, 2]) * 0.4)
+        inv = versor_inverse(R)
+        images = groups._frame_images(R, inv, 1e-10)
+        assert images.shape == (3, 8)
+        poisoned = images[:, None].copy()  # stack_products' (n, 1, 2^n) shape
+        poisoned[1, 0, 0b100] = math.nan
+        monkeypatch.setattr(groups, "stack_products", lambda *args: poisoned)
+        with pytest.raises(NonInvertible, match="does not preserve grade 1: not a versor"):
+            groups._frame_images(R, inv, 1e-10)
+
+    @pytest.mark.parametrize("sig", [S30, Signature(1, 3), Signature(6, 3)], ids=str)
+    def test_non_versor_is_rejected(self, sig):
+        """1 + e_{123}: rev(a) <> a is a scalar, but e^j is sent off grade 1."""
+        a = Multivector.scalar(sig, 1.0) + basis_blade(sig, [1, 2, 3])
+        versor_inverse(a)  # passes the inverse's own check
+        with pytest.raises(NonInvertible, match="does not preserve grade 1: not a versor"):
+            versor_to_matrix(a)
+        assert not membership(a).preserves_vectors

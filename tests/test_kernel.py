@@ -1,11 +1,14 @@
-"""The per-signature blade tables, the blade-matrix stacks at n = 8, and the
-three product routes built on them.
+"""The per-signature signed gather indices, the blade-matrix stacks at n = 8,
+and the three product routes built on them.
 
-The tables and the sparse loop's sign form are checked against the scalar
-bitmask rule, the dense routes against the sparse loop, the table contraction
-and an index-list wedge, the stacks against the Clifford relations, and the
+The indices and the sparse loop's sign form are checked against the scalar
+bitmask rule, the contraction bit for bit against a test-local gather-and-sign
+reference, the dense routes against the sparse loop, that reference and an
+index-list wedge, the stacks against the Clifford relations, and the
 signatures above the table limit against the contracted-wedge oracle.
 """
+
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -19,14 +22,15 @@ from spinorlab.algebra import (
     DenseTable,
     Multivector,
     Signature,
+    _GATHER_ENTRIES,
     _blade_product,
-    _blade_tables,
     _blade_wedge,
     _contract,
     _dense,
     _dense_apply,
     _reachable,
     _route_bundle,
+    _signed_index,
     _sparse_product,
     approx_equal,
     blade_images,
@@ -34,6 +38,7 @@ from spinorlab.algebra import (
     dense_table,
     geometric_product,
     geometric_product_contracted,
+    right_product_matrix,
     stack_products,
     wedge,
 )
@@ -57,24 +62,21 @@ def random_terms(sig, rng, count, complex_coeffs=False, max_grade=None):
 
 
 def test_tables_match_scalar_blade_rule():
-    for sig in TABLE_SIGS:
-        idx, G, W = _blade_tables(sig)
-        metric = sig.metric_tuple()
+    """index[r, c] holds r ^ c, plus 2^n where e_r e_{r^c} = -e_c; the wedge's
+    holds 2^(n+1), its zero slot, where the blades r and r ^ c overlap."""
+    for sig in TABLE_SIGS + [Signature(5, 4), Signature(5, 5)]:
+        product, outer = _signed_index(sig, "product"), _signed_index(sig, "wedge")
         dim = 1 << sig.n
-        ref_idx, ref_g, ref_w = [], [], []
-        for a in range(dim):
-            for k in range(dim):
-                b = a ^ k
-                coef, mask = _blade_product(a, b, metric)
-                assert mask == k
-                ref_idx.append(b)
-                ref_g.append(coef)
-                ref_w.append(_blade_wedge(a, b)[0])
-        shape = (dim, dim)
-        assert np.array_equal(idx, np.reshape(ref_idx, shape)), sig
-        assert np.array_equal(G, np.reshape(ref_g, shape)), sig
-        assert np.array_equal(W, np.reshape(ref_w, shape)), sig
-        assert G.dtype == W.dtype == np.int8 and idx.dtype == np.uint8, sig
+        r, k = np.repeat(np.arange(dim), dim), np.tile(np.arange(dim), dim)  # every pair, row-major
+        b = r ^ k
+        rule = list(map(_blade_product, r.tolist(), b.tolist(), repeat(sig.metric_tuple())))
+        assert np.array_equal([mask for _, mask in rule], k), sig
+        signs = np.array([coef for coef, _ in rule])
+        assert np.array_equal(product.ravel(), b + dim * (signs < 0)), sig
+        signs = np.array([coef for coef, _ in map(_blade_wedge, r.tolist(), b.tolist())])
+        assert np.array_equal(outer.ravel(), np.where(signs == 0, 2 * dim, b + dim * (signs < 0))), sig
+        for index in (product, outer):
+            assert index.dtype == np.intp and not index.flags.writeable, sig
 
 
 def _pair_loop(a, b, is_wedge):
@@ -249,13 +251,13 @@ def test_above_table_limit_products_are_sparse(p, q):
     sig = Signature(p, q)
     assert sig.n > DENSE_MAX_N
     rng = np.random.default_rng(24 + sig.n)
-    before = _blade_tables.cache_info()
+    before = _signed_index.cache_info()
     for count in (3, 6):
         a = random_terms(sig, rng, count, max_grade=4)
         b = random_terms(sig, rng, count, complex_coeffs=True, max_grade=4)
         assert not _dense(a, b, 1)
         assert approx_equal(geometric_product(a, b), geometric_product_contracted(a, b), 1e-12)
-    after = _blade_tables.cache_info()
+    after = _signed_index.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
@@ -264,11 +266,55 @@ def test_contracted_oracle_reads_no_table():
     sig = Signature(3, 2)
     a, b = random_terms(sig, rng, 32), random_terms(sig, rng, 32)
     assert _dense(a, b, 1)
-    before = _blade_tables.cache_info()
+    before = _signed_index.cache_info()
     oracle = geometric_product_contracted(a, b)
-    after = _blade_tables.cache_info()
+    after = _signed_index.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
     assert approx_equal(geometric_product(a, b), oracle, 1e-12)
+
+
+MALFORMED = [
+    ("short", np.ones(3)),
+    ("long", np.ones(6)),
+    ("matrix", np.ones((2, 4))),
+    ("scalar", 1.0),
+    ("ragged", [[1.0, 2.0], [3.0]]),
+    ("text", ["a", "b", "c", "d"]),
+    ("objects", [1.0, None, 0.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("bad", [m[1] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
+def test_vector_entry_points_reject_malformed_input(bad):
+    """Each argument must be a 1-D array-like of 2^n numbers; anything else is InvalidInput."""
+    sig = Signature(2, 0)
+    table, good = dense_table(sig), np.ones(4)
+    calls = [
+        lambda: table.product(good, bad), lambda: table.product(bad, good),
+        lambda: table.wedge(good, bad), lambda: table.wedge(bad, good),
+        lambda: blade_images(sig, bad), lambda: right_product_matrix(sig, bad),
+        lambda: Multivector.from_vector(sig, bad),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInput):
+            call()
+    with pytest.raises(InvalidInput):
+        dense_table(Signature(8, 0)).product(np.ones(256), bad)
+
+
+def test_vector_entry_points_accept_array_likes():
+    sig = Signature(2, 0)
+    table = dense_table(sig)
+    with pytest.raises(InvalidInput):
+        table.product(np.ones(4), np.ones(6))
+    assert np.array_equal(table.wedge([1, 0, 0, 0], [0, 1, 0, 0]), [0.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(table.wedge([0, 1, 0, 0], (0, 0, 1, 0)), [0.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(table.product([0, 1, 0, 0], [True, True, False, False]), [1.0, 1.0, 0.0, 0.0])
+    unsigned = np.array([0, 1, 0, 0], dtype=np.uint8)  # a negated uint8 would wrap
+    assert np.array_equal(table.product([0, 0, 1, 0], unsigned), [0.0, 0.0, 0.0, -1.0])
+    left, right = blade_images(sig, [0, 1, 2, 3], [1])
+    assert np.array_equal(left[0], [1.0, 0.0, 3.0, 2.0]) and np.array_equal(right[0], [1.0, 0.0, -3.0, -2.0])
+    assert np.array_equal(right_product_matrix(sig, [1, 0, 0, 0]), np.eye(4))
 
 
 def test_dense_table_limit():
@@ -277,10 +323,10 @@ def test_dense_table_limit():
             DenseTable(Signature(p, q))
         with pytest.raises(InvalidInput):
             dense_table(Signature(p, q))
-    # n = 10 is the largest table; it needs a 16-bit index
+    # n = 10 is the largest table; its signed index is intp, as at every n
     sig = Signature(5, 5)
     table = DenseTable(sig)
-    assert table._idx.dtype == np.uint16
+    assert _signed_index(sig, "product").dtype == np.intp
     rng = np.random.default_rng(26)
     a, b = random_terms(sig, rng, 5), random_terms(sig, rng, 5)
     got = Multivector.from_vector(sig, table.product(a.to_vector(), b.to_vector()))
@@ -300,9 +346,65 @@ def _random_stack(rng, count, kind, density=1.0):
     return stack * (rng.random((count, 256)) < density)
 
 
+def _sign_table(sig, kind):
+    """sign[r, c] of e_r e_{r^c} = sign e_c (wedge: 0 where r and r ^ c overlap), from
+    the transposition count and the shared negative generators, one shift at a time."""
+    dim = 1 << sig.n
+    r = np.arange(dim)
+    xor = r[:, None] ^ r
+    parity = np.bitwise_count(xor & r[:, None] & -(1 << sig.p))  # shared generators squaring to -1
+    for s in range(1, sig.n):
+        parity += np.bitwise_count((r[:, None] >> s) & xor)  # pairs i in r, j in r ^ c, i > j
+    sign = 1 - 2 * (parity & 1).astype(np.int8)
+    if kind == "wedge":
+        sign[(r[:, None] & xor) != 0] = 0
+    return sign
+
+
+def _reference_contract(sig, a, b, kind="product"):
+    """out[..., c] = sum_r a[..., r] (b[..., r ^ c] * sign[r, c]), blocked as _contract
+    blocks its rows, so the result is comparable bit for bit."""
+    dim = 1 << sig.n
+    xor = np.arange(dim)[:, None] ^ np.arange(dim)
+    sign = _sign_table(sig, kind)
+    step = max(1, _GATHER_ENTRIES // max(1, b.size))
+    out = 0
+    for r in range(0, dim, step):
+        out = out + a[..., r : r + step] @ (b[..., xor[r : r + step]] * sign[r : r + step])
+    return out
+
+
 def _table_product(sig, a, b):
-    idx, G, _ = _blade_tables(sig)
-    return _contract(np.asarray(a), np.asarray(b), idx, G)
+    return _reference_contract(sig, np.asarray(a), np.asarray(b))
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("sig", [Signature(3, 0), Signature(2, 4), Signature(3, 3),
+                                 Signature(4, 3), Signature(8, 0), Signature(4, 4)], ids=str)
+def test_contraction_is_bit_identical_to_the_reference(sig):
+    """Vectors and stacks, real, complex and mixed, product and wedge."""
+    rng = np.random.default_rng(90 + 8 * sig.p + sig.q)
+    dim = 1 << sig.n
+    for kind_a, kind_b in (("real", "real"), ("complex", "complex"), ("real", "complex")):
+        A = _random_stack(rng, 3, kind_a, 0.7)[:, :dim]
+        B = _random_stack(rng, 2, kind_b, 0.7)[:, :dim]
+        for kind in ("product", "wedge"):
+            if kind == "product" and sig.n == DENSE_MAX_N:
+                continue  # n = 8 products take the matrix route
+            index = _signed_index(sig, kind)
+            for a, b in ((A[0], B[0]), (A, B)):
+                got, want = _contract(a, b, index), _reference_contract(sig, a, b, kind)
+                assert np.array_equal(got, want), (kind, kind_a, kind_b, a.ndim)
+                assert _same_bits(got, want), (kind, kind_a, kind_b, a.ndim)
+    a, b = A[0].real, B[0].real
+    if sig.n < DENSE_MAX_N:
+        assert _same_bits(dense_table(sig).product(a, b), _reference_contract(sig, a, b))
+    assert _same_bits(dense_table(sig).wedge(a, b), _reference_contract(sig, a, b, "wedge"))
+    R = right_product_matrix(sig, b)
+    assert _same_bits(R, b[np.arange(dim)[:, None] ^ np.arange(dim)] * _sign_table(sig, "product"))
 
 
 @pytest.mark.parametrize("sig", N8_SIGS, ids=str)
@@ -387,6 +489,23 @@ def test_matrix_route_takes_every_n8_product_and_nothing_else(monkeypatch):
     assert wedge(a, b) == wedge_before
     assert stack_products(sig, A[:0], A).shape == (0, 2, 256)
     assert stack_products(sig, A, A[:0]).shape == (2, 0, 256)
+
+
+def test_matrix_route_builds_no_product_index():
+    """Each kind's index is built on first use; n = 8 products never ask for theirs."""
+    rng = np.random.default_rng(56)
+    sig = Signature(6, 2)
+    a, b = random_terms(sig, rng, 200), random_terms(sig, rng, 200)
+    A = _random_stack(rng, 2, "complex")
+    _signed_index.cache_clear()
+    geometric_product(a, b)
+    DenseTable(sig).product(A[0], A[1])
+    stack_products(sig, A, A)
+    assert _signed_index.cache_info().misses == 0
+    wedge(a, b)
+    assert _signed_index.cache_info().misses == 1
+    blade_images(sig, A[0], [3])
+    assert _signed_index.cache_info().misses == 2 and _signed_index(sig, "product").shape == (256, 256)
 
 
 @pytest.mark.parametrize("sig", [Signature(8, 0), Signature(1, 7), Signature(7, 1)], ids=str)
