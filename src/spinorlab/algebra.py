@@ -5,7 +5,7 @@ generator i is present); the empty mask is the scalar unit.  Products carry
 signs from transposition counting and metric factors diag(+1^p, -1^q) on the
 contracted indices.  Coefficients are double precision, real or complex.  A
 Multivector holds them sparsely, as terms with exact zeros pruned, or as a
-read-only coefficient vector indexed by blade mask, or both: the dense routes
+read-only coefficient vector indexed by blade mask, or both: the table route
 and from_vector keep the vector and build the terms on first read, a dict-built
 instance builds and keeps the vector on its first to_vector call.
 
@@ -15,43 +15,27 @@ over GF(2): it equals |b & H(a)| with H(a) = (a >> 1) ^ (a >> 2) ^ ... ^
 _count_swaps and _blade_product keep the transposition count as the reference
 the tests compare against, and the contracted-wedge oracle uses it alone.
 
-Products take one of three routes, chosen from n and the operands' term
-counts only.  The sparse route is one loop over term pairs in Python, with H(a)
-computed once per term of a, and serves every n <= MAX_GENERATORS.  The dense
-routes serve n <= DENSE_MAX_N = 8 when |a|*|b| >= k * 2^n (k = 1 for the
+Products take one of two routes, chosen from n and the operands' term counts
+only.  The sparse route is one loop over term pairs in Python, with H(a)
+computed once per term of a, and serves every n <= MAX_GENERATORS.  The table
+route serves n <= DENSE_MAX_N = 8 when |a|*|b| >= k * 2^n (k = 1 for the
 geometric product, 4 for the wedge, whose sparse loop skips overlapping pairs
-cheaply).  At n = 8 a one-term operand keeps the product on the sparse loop:
-it is then an exact signed copy of the other operand's 2^n coefficients,
-which the matrix route would round.
+cheaply).
 
-The table route contracts coefficient vectors through the signature's signed
-gather index, out[c] = sum_r va[r] vb2[index[r, c]] with vb2 = concat(vb, -vb, 0):
-index[r, c] is r ^ c, plus 2^n where e_r e_{r^c} = -e_c, and the zero slot
-2^(n+1) where a wedge's blades overlap, so one gather applies the sign and one
-matmul sums.  Each signature has one index per kind, product and wedge, built
-on first use in one vectorised pass: intp (a narrower index makes numpy cast
-through a buffer on every gather), 8 * 4^n bytes each, 32 KiB at n = 6 and
-512 KiB at n = 8, up to n = 10 (8 MiB).  A signature whose products take the
-matrix route builds no product index for them.  One blocked contraction serves
-vectors and stacks alike.  It takes every wedge, every product below n = 8,
-DenseTable at n = 9 and 10, blade_images, which gathers the blade multiples
-e_M v and v e_M without forming a product, and right_product_matrix, which
-gathers the matrix of x -> x v.
-
-The matrix route takes every geometric product at n = DENSE_MAX_N: the dense
-branch of geometric_product, DenseTable.product and stack_products.  It uses
-Cl(p,q) -> Mat(16, R) or, after complexification, Mat(16, C) (Lounesto 2001,
-ch. 16-17): both operands are quantized through the signature's route bundle,
-multiplied as 16x16 matrices, and dequantized by the trace pairing
-tr(T B_M) / (16 e_M^2).  The bundle's stack of 256 blade matrices is real
-where Cl(p,q) = Mat(16, R) (p - q = 0 or 2 mod 8) and a complex Jordan-Wigner
-stack elsewhere, 512 KiB or 1 MiB.  RepBundle, defined here and re-exported
-by matrices, is also every gamma bundle's class: one quantize, one dequantize
-and one real-rows-times-complex helper (_matvec) serve both, and a bundle's
-(2^n, d^2) row view of its stack is the only copy.  The route's rounding
-spreads over every blade, so the result is masked to the blades r ^ s that
-some pair of nonzero coefficients a[r], b[s] reaches: even times even has no
-odd-grade term, as on the other routes.
+The table route contracts coefficient vectors through a signed gather index,
+out[c] = sum_r va[r] vb2[index[r, c]] with vb2 = concat(vb, -vb, 0): index[r, c]
+is r ^ c, plus 2^n where e_r e_{r^c} = -e_c, and the zero slot 2^(n+1) where a
+wedge's blades overlap, so one gather applies the sign and one matmul sums.
+Each signature has one product index and each n one wedge index (the wedge
+sign is metric-free), built on first use in one vectorised pass: intp (a
+narrower index makes numpy cast through a buffer on every gather), 8 * 4^n
+bytes each, 32 KiB at n = 6 and 512 KiB at n = 8, up to n = 10 (8 MiB).  One
+blocked contraction serves vectors and stacks alike.  It takes every dense
+product and wedge, DenseTable up to n = 10, stack_products, blade_images,
+which gathers the blade multiples e_M v and v e_M without forming a product,
+and right_product_matrix, which gathers the matrix of x -> x v.  A one-term
+operand gives an exact signed copy of the other operand's coefficients, as
+on the sparse loop, since every other row of the sum adds exact zeros.
 The routes agree to rounding on finite coefficients; the JSON decoder
 rejects non-finite ones.
 """
@@ -59,8 +43,8 @@ rejects non-finite ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -68,7 +52,7 @@ import numpy as np
 from .errors import InvalidInput, SignatureMismatch
 
 MAX_GENERATORS = 16
-DENSE_MAX_N = 8  # dense routes only up to here; the matrix route at exactly this n
+DENSE_MAX_N = 8  # the table route serves Multivector products only up to here
 DENSE_TABLE_MAX_N = 10  # largest signature with gather indices (DenseTable, stacks)
 
 
@@ -167,9 +151,13 @@ def _signed_index(sig: Signature, kind: str) -> np.ndarray:
     -e_c, and 2^(n+1), the zero slot, where a wedge's blades r and r ^ c
     overlap.  The sign is the parity of |(r ^ c) & H(r)| (module docstring), so
     one bitwise_count over the table gives it.  Read-only intp, 8 * 4^n bytes;
-    tables stop at n = DENSE_TABLE_MAX_N.
+    tables stop at n = DENSE_TABLE_MAX_N.  Non-overlapping blades share no
+    generator, so the wedge sign is metric-free: every (p, q) with the same n
+    gets the (n, 0) wedge index, the same array.
     """
     _check_table_limit(sig)
+    if kind == "wedge" and sig.q:
+        return _signed_index(Signature(sig.n, 0), kind)
     dim = 1 << sig.n
     r = np.arange(dim, dtype=np.uint16)  # 16-bit work arrays keep the build's temporaries small
     h = r & np.uint16((dim - 1) ^ ((1 << sig.p) - 1))
@@ -220,190 +208,6 @@ def _contract(a: np.ndarray, b: np.ndarray, index: np.ndarray) -> np.ndarray:
     return out
 
 
-# 2x2 real letters of the tensor words that build gamma matrices.
-_BLOCKS = {
-    "i": np.eye(2),
-    "s": np.array([[1.0, 0.0], [0.0, -1.0]]),
-    "t": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "e": np.array([[0.0, -1.0], [1.0, 0.0]]),
-}
-
-
-def _tensor_word(word: str) -> np.ndarray:
-    m = _BLOCKS[word[0]]
-    for ch in word[1:]:
-        m = np.kron(m, _BLOCKS[ch])
-    return m
-
-
-def _ascending_products(gammas) -> np.ndarray:
-    """(2^n, d, d) stack of blade matrices, doubled once per generator: for
-    m < 2^i, stack[m | 2^i] = stack[m] gamma_{i+1}, the ascending product."""
-    stack = np.eye(len(gammas[0]), dtype=np.result_type(*gammas))[None]
-    for g in gammas:
-        stack = np.concatenate((stack, stack @ g))
-    stack.flags.writeable = False
-    return stack
-
-
-def _blade_squares(sig: Signature) -> np.ndarray:
-    """e_M^2 for every mask: the reversion sign of |M| times the generator squares in M."""
-    masks = np.arange(1 << sig.n)
-    k = np.bitwise_count(masks)
-    negative = np.bitwise_count(masks >> sig.p)
-    return 1.0 - 2.0 * ((k * (k - 1) // 2 + negative) & 1)
-
-
-@dataclass(frozen=True)
-class RepBundle:
-    """Gamma matrices of one signature plus, built on first use, the stacked blade tensor.
-
-    `blades[mask]` is the ascending product of the generators in mask; it is
-    read-only and built once per bundle, so quantization, dequantization (both
-    through its (2^n, dim^2) row view) and the spinor bilinears are single
-    contractions over it.  quantize and dequantize take stacks over leading
-    axes and treat each entry as a separate call would, bit for bit.
-    """
-
-    sig: Signature
-    dim: int
-    field_tag: str
-    gammas: list = field(repr=False, default_factory=list)
-
-    @cached_property
-    def blades(self) -> np.ndarray:
-        """(2^n, dim, dim) stack of the ascending products (_ascending_products)."""
-        if not self.gammas:
-            raise InvalidInput("bundle has no gamma matrices")
-        return _ascending_products(self.gammas)
-
-    @cached_property
-    def blade_squares(self) -> np.ndarray:
-        """e_M^2 for every mask: the reversion sign of |M| times the generator squares in M."""
-        return _blade_squares(self.sig)
-
-    def gamma_blade(self, mask: int) -> np.ndarray:
-        """Matrix of the blade with the given index mask (ascending product), read-only."""
-        return self.blades[mask]
-
-    @property
-    def chirality(self) -> np.ndarray:
-        return self.gamma_blade((1 << self.sig.n) - 1)
-
-    def pairings(self, x: np.ndarray, y: np.ndarray, masks=slice(None)) -> np.ndarray:
-        """x^T blades[M] y for each listed mask, as (blades[masks] @ y) @ x (no conjugation)."""
-        blades = self.blades[masks]
-        gy = _matvec(blades.reshape(-1, self.dim), y).reshape(len(blades), self.dim)
-        return gy @ x
-
-    def quantize(self, coeffs: np.ndarray) -> np.ndarray:
-        """sum_M coeffs[..., M] blades[M] for coefficients indexed by blade mask on the last axis."""
-        coeffs = np.asarray(coeffs)
-        rows = self.blades.reshape(len(self.blades), -1)
-        if coeffs.shape[-1:] != (len(rows),):
-            raise InvalidInput(f"coefficients of {self.sig} need a last axis of {len(rows)}")
-        return _matvec(rows.T, coeffs).reshape(coeffs.shape[:-1] + (self.dim, self.dim))
-
-    def dequantize(self, T: np.ndarray) -> np.ndarray:
-        """Coefficients of T[...] on the blades by the trace pairing, tr(T blades[M]) / (dim e_M^2).
-
-        Inverts quantize when the bundle is faithful and irreducible (dim^2 = 2^n).
-        """
-        T = np.asarray(T)
-        rows = self.blades.reshape(len(self.blades), -1)
-        if self.dim * self.dim != len(rows) or T.shape[-2:] != (self.dim, self.dim):
-            raise InvalidInput(f"trace-pairing inverse needs {self.dim}x{self.dim} matrices "
-                               f"and dim^2 = 2^n blades")
-        flat = T.swapaxes(-1, -2).reshape(T.shape[:-2] + (len(rows),))  # tr(T B) = ravel(T^T) . ravel(B)
-        return _matvec(rows, flat) / (self.dim * self.blade_squares)
-
-
-def _matvec(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """rows @ v over the last axis of v, one matrix-vector product per leading index.
-
-    A stack thus repeats the arithmetic of single vectors bit for bit, which
-    one matrix-matrix product would not.  A real `rows` meets a complex v as
-    two real columns, never as a complex copy of rows.
-    """
-    if v.dtype.kind == "c" and rows.dtype.kind != "c":
-        pairs = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64).reshape(v.shape + (2,))
-        return (rows @ pairs).view(np.complex128)[..., 0]
-    return (rows @ v[..., None])[..., 0]
-
-
-# Generators of the matrix route, one tensor word each.  A word squares to -1
-# when it holds an odd number of "e" letters, and two words anticommute when
-# an odd number of their positions hold two different non-"i" letters.  Where
-# Cl(p,q) = Mat(16, R), p - q = 0 or 2 mod 8, the listed words square to the
-# metric, so the stack is real.  The (8,0) set differs from the gamma bundle's
-# (matrices.CL8_GAMMAS), so checks that quantize through that bundle stay
-# independent of this route.  Elsewhere the Jordan-Wigner words take a factor
-# i where a word's square differs from its generator's.
-_REAL_WORDS = {
-    (8, 0): ("iiis", "iiit", "iiee", "iese", "sete", "tete", "eite", "esse"),
-    (5, 3): ("iiis", "iiit", "isee", "itee", "eeee", "iise", "iite", "seee"),
-    (4, 4): ("iiis", "iiit", "isee", "itee", "iise", "iite", "seee", "teee"),
-    (1, 7): ("iiis", "iiie", "iiet", "iest", "sett", "tett", "eitt", "esst"),
-    (0, 8): ("iiie", "iies", "iset", "itet", "ieit", "iess", "sets", "tets"),
-}
-_JORDAN_WIGNER = ("tiii", "eiii", "stii", "seii", "ssti", "ssei", "ssst", "ssse")
-
-
-@lru_cache(maxsize=16)
-def _route_bundle(sig: Signature) -> RepBundle:
-    """The matrix route's bundle of an n = DENSE_MAX_N signature: eight 16x16 generators,
-    real where the listed words square to the metric, Jordan-Wigner otherwise."""
-    words = _REAL_WORDS.get((sig.p, sig.q), _JORDAN_WIGNER)
-    gammas = [_tensor_word(w) * (1 if (-1) ** w.count("e") == g else 1j)
-              for w, g in zip(words, sig.metric_tuple())]
-    return RepBundle(sig, 16, "real" if (sig.p, sig.q) in _REAL_WORDS else "complex", gammas)
-
-
-_HADAMARD = 1.0 - 2.0 * (np.bitwise_count(np.arange(16)[:, None] & np.arange(16)) & 1)
-
-
-def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform over a last axis of 256: H_256 = H_16 (x) H_16."""
-    return (_HADAMARD @ x.reshape(x.shape[:-1] + (16, 16)) @ _HADAMARD).reshape(x.shape)
-
-
-def _reachable(a: np.ndarray, b: np.ndarray):
-    """Mask of the blades r ^ s with a[..., r] b[..., s] != 0; None when every blade is reached.
-
-    When |supp a| + |supp b| > 2^n, supp a and c ^ supp b must meet for every
-    c.  Otherwise the pair count sum_r [a_r != 0][b_{r^c} != 0] is an XOR
-    convolution, the transform of the product of the supports' transforms,
-    divided by 2^n; every value on the way is an integer of at most 2^24, so
-    the count is exact in float64.
-    """
-    dim = a.shape[-1]
-    # count_nonzero without an axis skips the per-row reduction: a full Cl(8,0)
-    # vector product takes about 44 us with it, 56 us through the axis form
-    if a.ndim == 1 and b.ndim == 1:
-        if np.count_nonzero(a) + np.count_nonzero(b) > dim:
-            return None
-    elif (np.count_nonzero(a, axis=-1) + np.count_nonzero(b, axis=-1) > dim).all():
-        return None
-    count = _walsh_hadamard(_walsh_hadamard((a != 0) * 1.0) * _walsh_hadamard((b != 0) * 1.0))
-    return count > 0
-
-
-def _matrix_product(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Geometric products a b of coefficient arrays at n = DENSE_MAX_N, broadcast over leading axes.
-
-    Quantize both through the route bundle, multiply the 16x16 matrices and
-    dequantize.  Real meets complex as if cast first; real operands give a
-    real result, the complex stack's imaginary rounding dropped.
-    """
-    bundle, dtype = _route_bundle(sig), np.result_type(a, b)
-    X, Y = (bundle.quantize(x.astype(dtype, copy=False)) for x in (a, b))
-    out = bundle.dequantize(X @ Y)
-    if dtype.kind != "c":
-        out = out.real
-    reach = _reachable(a, b)
-    return out if reach is None else np.where(reach, out, 0.0)
-
-
 def _coefficients(sig: Signature, v, ndim: int = 1) -> np.ndarray:
     """v as a float or complex array whose last axis runs over the 2^n blades:
     a vector (ndim 1) or a (count, 2^n) stack (ndim 2); InvalidInput otherwise.
@@ -444,24 +248,15 @@ def right_product_matrix(sig: Signature, v) -> np.ndarray:
     return _signed(_coefficients(sig, v))[_signed_index(sig, "product")]
 
 
-def _products(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Geometric products of two coefficient vectors, or of stacks a (m rows) and
-    b (k rows) as out[i, j] = a[i] b[j]: the matrix route at n = DENSE_MAX_N, the
-    signed product index otherwise."""
-    if sig.n == DENSE_MAX_N:
-        return _matrix_product(sig, a, b) if a.ndim == 1 else _matrix_product(sig, a[:, None], b[None])
-    out = _contract(a, b, _signed_index(sig, "product"))
-    return out if a.ndim == 1 else out.transpose(1, 0, 2)
-
-
 def stack_products(sig: Signature, A, B) -> np.ndarray:
     """All geometric products A[i] B[j] of two coefficient stacks.
 
     A is (m, 2^n) and B is (k, 2^n), real or complex, indexed by blade mask; the
     result is the (m, k, 2^n) array out[i, j, c] = sum_a A[i, a] B[j, a ^ c] G[a, c],
-    one batched matmul of blade matrices at n = DENSE_MAX_N, a table contraction otherwise.
+    one contraction through the signed product index, up to n = DENSE_TABLE_MAX_N.
     """
-    return _products(sig, _coefficients(sig, A, 2), _coefficients(sig, B, 2))
+    A, B = _coefficients(sig, A, 2), _coefficients(sig, B, 2)
+    return _contract(A, B, _signed_index(sig, "product")).transpose(1, 0, 2)
 
 
 def _number(value):
@@ -479,7 +274,7 @@ class Multivector:
     An instance holds its terms (a dict from blade mask to a nonzero Python
     float or complex), its read-only coefficient vector indexed by blade mask,
     or both; each is built from the other on first access and then kept.  The
-    dense routes and from_vector return _VectorMultivector, which starts from
+    table route and from_vector return _VectorMultivector, which starts from
     the vector.  Terms built from a vector run in ascending mask order with
     exact zeros pruned, and a vector reads +0.0 at every exact zero, so an
     instance reads the same whichever it was built from.
@@ -797,25 +592,14 @@ def linear_combine(pairs: Iterable[tuple]) -> Multivector:
 
 
 def _dense(a: Multivector, b: Multivector, multiple: int) -> bool:
-    """Route rule: dense when n <= DENSE_MAX_N and |a|*|b| >= multiple * 2^n, except
-    that at n = DENSE_MAX_N a one-term operand keeps the product on the sparse loop,
-    where it is an exact signed copy; the matrix route would round every blade."""
+    """Route rule: the table route when n <= DENSE_MAX_N and |a|*|b| >= multiple * 2^n."""
     n = a.sig.n
-    if n > DENSE_MAX_N:
-        return False
-    count_a, count_b = a._term_count(), b._term_count()
-    if n == DENSE_MAX_N and min(count_a, count_b) == 1:
-        return False
-    return count_a * count_b >= multiple << n
+    return n <= DENSE_MAX_N and a._term_count() * b._term_count() >= multiple << n
 
 
 def _dense_apply(a: Multivector, b: Multivector, wedge: bool = False) -> Multivector:
-    va, vb = a.to_vector(), b.to_vector()
-    if wedge:
-        out = _contract(va, vb, _signed_index(a.sig, "wedge"))
-    else:
-        out = _products(a.sig, va, vb)
-    return Multivector._of_vector(a.sig, out)
+    index = _signed_index(a.sig, "wedge" if wedge else "product")
+    return Multivector._of_vector(a.sig, _contract(a.to_vector(), b.to_vector(), index))
 
 
 def _sparse_product(a: Multivector, b: Multivector, wedge: bool = False) -> Multivector:
@@ -849,7 +633,7 @@ def _sparse_product(a: Multivector, b: Multivector, wedge: bool = False) -> Mult
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    """Clifford product by the bitmask transposition rule (sparse, table or matrix route)."""
+    """Clifford product by the bitmask transposition rule (sparse or table route)."""
     a._require_same(b)
     if _dense(a, b, 1):
         return _dense_apply(a, b)
@@ -857,7 +641,7 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
-    """Exterior product (dense or sparse route)."""
+    """Exterior product (sparse or table route)."""
     a._require_same(b)
     if _dense(a, b, 4):
         return _dense_apply(a, b, wedge=True)
@@ -1012,8 +796,7 @@ def approx_equal(a: Multivector, b: Multivector, tol: float = 1e-12) -> bool:
 
 class DenseTable:
     """Dense products of one signature's coefficient vectors: a view on its signed
-    gather indices, except that the geometric product at n = DENSE_MAX_N takes the
-    matrix route.  Each method takes two 1-D array-likes of 2^n numbers."""
+    gather indices.  Each method takes two 1-D array-likes of 2^n numbers."""
 
     def __init__(self, sig: Signature):
         _check_table_limit(sig)
@@ -1021,7 +804,9 @@ class DenseTable:
         self.dim = 1 << sig.n
 
     def product(self, va, vb) -> np.ndarray:
-        return _products(self.sig, _coefficients(self.sig, va), _coefficients(self.sig, vb))
+        """Geometric product of two coefficient vectors through the signed product index."""
+        va, vb = _coefficients(self.sig, va), _coefficients(self.sig, vb)
+        return _contract(va, vb, _signed_index(self.sig, "product"))
 
     def wedge(self, va, vb) -> np.ndarray:
         """Exterior product of two coefficient vectors through the signed wedge index."""

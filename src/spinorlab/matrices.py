@@ -2,8 +2,9 @@
 
 Built-in bundles: Pauli (Cl(3,0) on 2x2 complex), Dirac and Weyl (C (x) Cl(1,3)
 on 4x4 complex, index 0..3 display order), and a real symmetric 16x16 set for
-Cl(8,0) with diagonal chirality.  Each is an algebra.RepBundle, the class of
-the n = 8 matrix route's bundles too.  The idempotent algorithm turns a
+Cl(8,0) with diagonal chirality, each a RepBundle.  No product of the algebra
+module reads a bundle, so the checks that quantize through one stay
+independent of the products.  The idempotent algorithm turns a
 primitive idempotent of a real-commutant algebra into an explicit matrix
 representation living inside the algebra itself.
 """
@@ -17,9 +18,7 @@ import numpy as np
 
 from .algebra import (
     Multivector,
-    RepBundle,
     Signature,
-    _tensor_word,
     approx_equal,
     blade_images,
     geometric_product,
@@ -28,8 +27,24 @@ from .algebra import (
 from .errors import InvalidInput, SignatureMismatch, UnsupportedDivisionRing
 from .tables import RING_DIM, classify_real
 
+# 2x2 real letters of the tensor words that build gamma matrices.
+_BLOCKS = {
+    "i": np.eye(2),
+    "s": np.array([[1.0, 0.0], [0.0, -1.0]]),
+    "t": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "e": np.array([[0.0, -1.0], [1.0, 0.0]]),
+}
+
+
+def _tensor_word(word: str) -> np.ndarray:
+    m = _BLOCKS[word[0]]
+    for ch in word[1:]:
+        m = np.kron(m, _BLOCKS[ch])
+    return m
+
+
 # Eight real symmetric anticommuting involutions on R^16, tensor words over the
-# letters of algebra._BLOCKS, whose full product (the chirality operator) is diagonal
+# letters of _BLOCKS, whose full product (the chirality operator) is diagonal
 # +-1.  Verified exactly by test.
 _CL8_WORDS = ["iiit", "iits", "itss", "iete", "tsss", "este", "etie", "etes"]
 
@@ -62,6 +77,101 @@ WEYL_GAMMAS = [_block4(_ZERO2, _EYE2, _EYE2, _ZERO2)] + [
 
 
 CL8_GAMMAS = [_tensor_word(w) for w in _CL8_WORDS]
+
+
+def _ascending_products(gammas) -> np.ndarray:
+    """(2^n, d, d) stack of blade matrices, doubled once per generator: for
+    m < 2^i, stack[m | 2^i] = stack[m] gamma_{i+1}, the ascending product."""
+    stack = np.eye(len(gammas[0]), dtype=np.result_type(*gammas))[None]
+    for g in gammas:
+        stack = np.concatenate((stack, stack @ g))
+    stack.flags.writeable = False
+    return stack
+
+
+def _blade_squares(sig: Signature) -> np.ndarray:
+    """e_M^2 for every mask: the reversion sign of |M| times the generator squares in M."""
+    masks = np.arange(1 << sig.n)
+    k = np.bitwise_count(masks)
+    negative = np.bitwise_count(masks >> sig.p)
+    return 1.0 - 2.0 * ((k * (k - 1) // 2 + negative) & 1)
+
+
+@dataclass(frozen=True)
+class RepBundle:
+    """Gamma matrices of one signature plus, built on first use, the stacked blade tensor.
+
+    `blades[mask]` is the ascending product of the generators in mask; it is
+    read-only and built once per bundle, so quantization, dequantization (both
+    through its (2^n, dim^2) row view) and the spinor bilinears are single
+    contractions over it.  quantize and dequantize take stacks over leading
+    axes and treat each entry as a separate call would, bit for bit.
+    """
+
+    sig: Signature
+    dim: int
+    field_tag: str
+    gammas: list = field(repr=False, default_factory=list)
+
+    @cached_property
+    def blades(self) -> np.ndarray:
+        """(2^n, dim, dim) stack of the ascending products (_ascending_products)."""
+        if not self.gammas:
+            raise InvalidInput("bundle has no gamma matrices")
+        return _ascending_products(self.gammas)
+
+    @cached_property
+    def blade_squares(self) -> np.ndarray:
+        """e_M^2 for every mask: the reversion sign of |M| times the generator squares in M."""
+        return _blade_squares(self.sig)
+
+    def gamma_blade(self, mask: int) -> np.ndarray:
+        """Matrix of the blade with the given index mask (ascending product), read-only."""
+        return self.blades[mask]
+
+    @property
+    def chirality(self) -> np.ndarray:
+        return self.gamma_blade((1 << self.sig.n) - 1)
+
+    def pairings(self, x: np.ndarray, y: np.ndarray, masks=slice(None)) -> np.ndarray:
+        """x^T blades[M] y for each listed mask, as (blades[masks] @ y) @ x (no conjugation)."""
+        blades = self.blades[masks]
+        gy = _matvec(blades.reshape(-1, self.dim), y).reshape(len(blades), self.dim)
+        return gy @ x
+
+    def quantize(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_M coeffs[..., M] blades[M] for coefficients indexed by blade mask on the last axis."""
+        coeffs = np.asarray(coeffs)
+        rows = self.blades.reshape(len(self.blades), -1)
+        if coeffs.shape[-1:] != (len(rows),):
+            raise InvalidInput(f"coefficients of {self.sig} need a last axis of {len(rows)}")
+        return _matvec(rows.T, coeffs).reshape(coeffs.shape[:-1] + (self.dim, self.dim))
+
+    def dequantize(self, T: np.ndarray) -> np.ndarray:
+        """Coefficients of T[...] on the blades by the trace pairing, tr(T blades[M]) / (dim e_M^2).
+
+        Inverts quantize when the bundle is faithful and irreducible (dim^2 = 2^n).
+        """
+        T = np.asarray(T)
+        rows = self.blades.reshape(len(self.blades), -1)
+        if self.dim * self.dim != len(rows) or T.shape[-2:] != (self.dim, self.dim):
+            raise InvalidInput(f"trace-pairing inverse needs {self.dim}x{self.dim} matrices "
+                               f"and dim^2 = 2^n blades")
+        flat = T.swapaxes(-1, -2).reshape(T.shape[:-2] + (len(rows),))  # tr(T B) = ravel(T^T) . ravel(B)
+        return _matvec(rows, flat) / (self.dim * self.blade_squares)
+
+
+def _matvec(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """rows @ v over the last axis of v, one matrix-vector product per leading index.
+
+    A stack thus repeats the arithmetic of single vectors bit for bit, which
+    one matrix-matrix product would not.  A real `rows` meets a complex v as
+    two real columns, never as a complex copy of rows.
+    """
+    if v.dtype.kind == "c" and rows.dtype.kind != "c":
+        pairs = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64).reshape(v.shape + (2,))
+        return (rows @ pairs).view(np.complex128)[..., 0]
+    return (rows @ v[..., None])[..., 0]
 
 
 def builtin_gammas(name: str) -> RepBundle:

@@ -493,7 +493,7 @@ def test_16_groups():
         worst = max(worst, float(np.abs(comp - MR @ MS).max()))
         worst_metric = max(worst_metric, float(np.abs(MR.T @ G @ MR - G).max()))
         assert membership(R).verdict == "spin_plus"
-        # reflection isometry through the matrix route
+        # reflection isometry through versor_to_matrix
         v = Multivector(sig, {1: rng.normal(), 2: rng.normal(), 4: rng.normal()})
         n_v = geometric_product(v, v).scalar_part()
         if abs(n_v) > 0.1:

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from spinorlab.algebra import Multivector, Signature, _route_bundle, geometric_product, permutation_sign
+from spinorlab.algebra import Multivector, Signature, geometric_product, permutation_sign
 from spinorlab.errors import InvalidInput
 from spinorlab.m8 import (
     SIG80,
@@ -98,9 +98,7 @@ class TestStack:
                 builtin_gammas("cl8").dequantize(bad)
 
 
-STACKED_BUNDLES = [pytest.param(builtin_gammas(name), id=name) for name in BUNDLES] + [
-    pytest.param(_route_bundle(Signature(p, 8 - p)), id=f"route-Cl({p},{8 - p})") for p in range(9)
-]
+STACKED_BUNDLES = [pytest.param(builtin_gammas(name), id=name) for name in BUNDLES]
 
 
 @pytest.mark.parametrize("rep", STACKED_BUNDLES)

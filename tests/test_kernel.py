@@ -1,11 +1,10 @@
-"""The per-signature signed gather indices, the blade-matrix stacks at n = 8,
-and the three product routes built on them.
+"""The signed gather indices and the two product routes built on them.
 
 The indices and the sparse loop's sign form are checked against the scalar
 bitmask rule, the contraction bit for bit against a test-local gather-and-sign
-reference, the dense routes against the sparse loop, that reference and an
-index-list wedge, the stacks against the Clifford relations, and the
-signatures above the table limit against the contracted-wedge oracle.
+reference, the table route against the sparse loop, that reference and an
+index-list wedge, and the signatures above the table limit against the
+contracted-wedge oracle.
 """
 
 from itertools import repeat
@@ -28,8 +27,6 @@ from spinorlab.algebra import (
     _contract,
     _dense,
     _dense_apply,
-    _reachable,
-    _route_bundle,
     _signed_index,
     _sparse_product,
     approx_equal,
@@ -43,6 +40,7 @@ from spinorlab.algebra import (
     wedge,
 )
 from spinorlab.errors import InvalidInput
+from spinorlab.matrices import RepBundle
 from spinorlab.structure import hodge, volume_form
 
 TABLE_SIGS = [Signature(p, n - p) for n in range(7) for p in range(n + 1)] + [
@@ -77,6 +75,15 @@ def test_tables_match_scalar_blade_rule():
         assert np.array_equal(outer.ravel(), np.where(signs == 0, 2 * dim, b + dim * (signs < 0))), sig
         for index in (product, outer):
             assert index.dtype == np.intp and not index.flags.writeable, sig
+
+
+def test_wedge_index_is_shared_by_every_signature_of_one_n():
+    """The wedge sign is metric-free, so each n holds one wedge index, the (n, 0) one."""
+    for n in range(9):
+        shared = _signed_index(Signature(n, 0), "wedge")
+        for p in range(n + 1):
+            assert _signed_index(Signature(p, n - p), "wedge") is shared, (p, n - p)
+    assert _signed_index(Signature(3, 3), "product") is not _signed_index(Signature(6, 0), "product")
 
 
 def _pair_loop(a, b, is_wedge):
@@ -333,10 +340,9 @@ def test_dense_table_limit():
     assert approx_equal(got, geometric_product(a, b), 1e-12)
 
 
-# -- the matrix route at n = 8 ---------------------------------------------------
+# -- n = 8 products --------------------------------------------------------------
 
 N8_SIGS = [Signature(p, 8 - p) for p in range(9)]
-REAL_STACK = {(8, 0), (5, 3), (4, 4), (1, 7), (0, 8)}  # Cl(p,q) = Mat(16, R)
 
 
 def _random_stack(rng, count, kind, density=1.0):
@@ -392,58 +398,20 @@ def test_contraction_is_bit_identical_to_the_reference(sig):
         A = _random_stack(rng, 3, kind_a, 0.7)[:, :dim]
         B = _random_stack(rng, 2, kind_b, 0.7)[:, :dim]
         for kind in ("product", "wedge"):
-            if kind == "product" and sig.n == DENSE_MAX_N:
-                continue  # n = 8 products take the matrix route
             index = _signed_index(sig, kind)
             for a, b in ((A[0], B[0]), (A, B)):
                 got, want = _contract(a, b, index), _reference_contract(sig, a, b, kind)
                 assert np.array_equal(got, want), (kind, kind_a, kind_b, a.ndim)
                 assert _same_bits(got, want), (kind, kind_a, kind_b, a.ndim)
     a, b = A[0].real, B[0].real
-    if sig.n < DENSE_MAX_N:
-        assert _same_bits(dense_table(sig).product(a, b), _reference_contract(sig, a, b))
+    assert _same_bits(dense_table(sig).product(a, b), _reference_contract(sig, a, b))
     assert _same_bits(dense_table(sig).wedge(a, b), _reference_contract(sig, a, b, "wedge"))
     R = right_product_matrix(sig, b)
     assert _same_bits(R, b[np.arange(dim)[:, None] ^ np.arange(dim)] * _sign_table(sig, "product"))
 
 
 @pytest.mark.parametrize("sig", N8_SIGS, ids=str)
-def test_matrix_stack_is_a_faithful_representation(sig):
-    bundle = _route_bundle(sig)
-    assert _route_bundle(sig) is bundle
-    stack = bundle.blades
-    rows = stack.reshape(256, -1)
-    assert rows.shape == (256, 256) and not rows.flags.writeable
-    assert rows.nbytes <= 1 << 20 and np.shares_memory(rows, stack)
-    assert (rows.dtype.kind == "f") == ((sig.p, sig.q) in REAL_STACK)
-    gammas = stack[1 << np.arange(8)]
-    anti = gammas[:, None] @ gammas[None]
-    anti = anti + anti.transpose(1, 0, 2, 3)
-    want = 2.0 * np.einsum("ij,ab->ijab", np.diag(sig.metric_tuple()), np.eye(16))
-    assert np.array_equal(anti, want)  # entries are 0, +-1 and +-i: exact
-    for mask in range(256):  # ascending products of the generators
-        product = np.eye(16)
-        for i in range(8):
-            if mask >> i & 1:
-                product = product @ gammas[i]
-        assert np.array_equal(stack[mask], product), mask
-    rng = np.random.default_rng(40 + sig.p)
-    for kind in ("real", "complex"):
-        v = _random_stack(rng, 1, kind)[0]
-        back = bundle.dequantize(bundle.quantize(v))
-        assert np.abs(back - v).max() <= 1e-14 * np.abs(v).max()
-
-
-def test_cl80_stack_is_not_the_gamma_bundle():
-    from spinorlab.matrices import CL8_GAMMAS
-
-    stack = _route_bundle(Signature(8, 0)).blades
-    assert not any(np.array_equal(stack[1 << i], g) for i, g in enumerate(CL8_GAMMAS))
-    assert not np.array_equal(stack[1 << np.arange(8)], np.stack(CL8_GAMMAS))
-
-
-@pytest.mark.parametrize("sig", N8_SIGS, ids=str)
-def test_matrix_route_matches_sparse_loop_and_tables(sig):
+def test_n8_products_match_sparse_loop_and_tables(sig):
     """Vectors, (m, k) stacks and Multivectors; real, complex and mixed."""
     rng = np.random.default_rng(50 + sig.p)
     table = DenseTable(sig)
@@ -452,13 +420,10 @@ def test_matrix_route_matches_sparse_loop_and_tables(sig):
         A, B = _random_stack(rng, 3, kind_a, 0.6), _random_stack(rng, 2, kind_b)
         want = _table_product(sig, A, B).transpose(1, 0, 2)
         stacked = stack_products(sig, A, B)
-        assert stacked.shape == (3, 2, 256) and stacked.dtype == want.dtype
-        scale = np.abs(want).max()
-        assert np.abs(stacked - want).max() <= 1e-12 * scale
+        assert stacked.shape == (3, 2, 256) and _same_bits(stacked, want)
         for i in range(3):
             for j in range(2):
-                got = table.product(A[i], B[j])
-                assert got.dtype == want.dtype and np.abs(got - want[i, j]).max() <= 1e-12 * scale
+                assert _same_bits(table.product(A[i], B[j]), _table_product(sig, A[i], B[j]))
         a, b = (Multivector.from_vector(sig, v) for v in (A[0], B[0]))
         assert _dense(a, b, 1)
         product = geometric_product(a, b)
@@ -466,70 +431,42 @@ def test_matrix_route_matches_sparse_loop_and_tables(sig):
         assert approx_equal(product, _sparse_product(a, b), 1e-12)
 
 
-def test_matrix_route_takes_every_n8_product_and_nothing_else(monkeypatch):
-    """Products at n = 8 never reach the table contraction; wedges and other n do."""
-    rng = np.random.default_rng(55)
-    sig = Signature(5, 3)
-    a, b = random_terms(sig, rng, 256), random_terms(sig, rng, 256)
+@pytest.mark.parametrize("sig", N8_SIGS, ids=str)
+def test_n8_products_read_no_gamma_bundle(sig, monkeypatch):
+    """The checks that quantize through CL8_GAMMAS stay independent of the products."""
+    rng = np.random.default_rng(55 + sig.p)
+    a, b = random_terms(sig, rng, 256), random_terms(sig, rng, 200, complex_coeffs=True)
     A = _random_stack(rng, 2, "real")
-    wedge_before = wedge(a, b)
 
     def forbidden(*args):
-        raise AssertionError("table contraction called")
+        raise AssertionError("gamma bundle called")
 
-    monkeypatch.setattr(algebra, "_contract", forbidden)
-    geometric_product(a, b)
-    DenseTable(sig).product(A[0], A[1])
-    stack_products(sig, A, A)
-    with pytest.raises(AssertionError, match="table contraction"):
-        wedge(a, b)
-    with pytest.raises(AssertionError, match="table contraction"):
-        DenseTable(Signature(4, 3)).product(A[0, :128], A[1, :128])
-    monkeypatch.undo()
-    assert wedge(a, b) == wedge_before
+    monkeypatch.setattr(RepBundle, "quantize", forbidden)
+    monkeypatch.setattr(RepBundle, "dequantize", forbidden)
+    assert _dense(a, b, 1)
+    assert approx_equal(geometric_product(a, b), _sparse_product(a, b), 1e-12)
+    assert np.array_equal(DenseTable(sig).product(A[0], A[1]), _table_product(sig, A[0], A[1]))
+    assert np.array_equal(stack_products(sig, A, A), _table_product(sig, A, A).transpose(1, 0, 2))
     assert stack_products(sig, A[:0], A).shape == (0, 2, 256)
     assert stack_products(sig, A, A[:0]).shape == (2, 0, 256)
 
 
-def test_matrix_route_builds_no_product_index():
-    """Each kind's index is built on first use; n = 8 products never ask for theirs."""
-    rng = np.random.default_rng(56)
-    sig = Signature(6, 2)
-    a, b = random_terms(sig, rng, 200), random_terms(sig, rng, 200)
-    A = _random_stack(rng, 2, "complex")
-    _signed_index.cache_clear()
-    geometric_product(a, b)
-    DenseTable(sig).product(A[0], A[1])
-    stack_products(sig, A, A)
-    assert _signed_index.cache_info().misses == 0
-    wedge(a, b)
-    assert _signed_index.cache_info().misses == 1
-    blade_images(sig, A[0], [3])
-    assert _signed_index.cache_info().misses == 2 and _signed_index(sig, "product").shape == (256, 256)
-
-
 @pytest.mark.parametrize("sig", [Signature(8, 0), Signature(1, 7), Signature(7, 1)], ids=str)
-def test_one_term_operand_stays_off_the_matrix_route(sig, monkeypatch):
+def test_one_term_operand_gives_an_exact_signed_copy(sig):
     """A blade times a full element is a signed copy of the element's coefficients:
-    exact on the sparse loop, where the matrix route would round every blade."""
+    the table route adds exact zeros to it, so it equals blade_images bit for bit."""
     rng = np.random.default_rng(80 + sig.p)
     full = random_terms(sig, rng, 256, complex_coeffs=True)
     blade = Multivector(sig, {0b1011: -2.5})
-    assert not _dense(blade, full, 1) and not _dense(full, blade, 1)
-    assert _dense(random_terms(sig, rng, 2), full, 1)
+    assert _dense(blade, full, 1) and _dense(full, blade, 1)
     left, right = blade_images(sig, full.to_vector(), [0b1011])
-
-    def forbidden(*args):
-        raise AssertionError("matrix route called")
-
-    monkeypatch.setattr(algebra, "_matrix_product", forbidden)
     assert np.array_equal(geometric_product(blade, full).to_vector(), -2.5 * left[0])
     assert np.array_equal(geometric_product(full, blade).to_vector(), -2.5 * right[0])
     assert hodge(full) == _sparse_product(full, volume_form(sig).tau)
 
 
 @pytest.mark.parametrize("sig", N8_SIGS, ids=str)
-def test_matrix_route_associates_and_distributes(sig):
+def test_n8_products_associate_and_distribute(sig):
     rng = np.random.default_rng(70 + sig.p)
     for density, kind in ((1.0, "real"), (0.4, "complex"), (0.25, "real")):
         a, b, c = (Multivector.from_vector(sig, v) for v in _random_stack(rng, 3, kind, density))
@@ -545,7 +482,7 @@ def _reached(a, b):
 
 
 @pytest.mark.parametrize("sig", N8_SIGS, ids=str)
-def test_matrix_route_support_rule(sig):
+def test_n8_product_support_rule(sig):
     """No term on a blade that no pair of nonzero coefficients reaches."""
     rng = np.random.default_rng(60 + sig.p)
     grades = np.bitwise_count(np.arange(256))
@@ -571,17 +508,3 @@ def test_matrix_route_support_rule(sig):
     assert set(out.terms) == set(_sparse_product(x, y).terms)
     stacked = stack_products(sig, np.stack([a, b]), np.stack([b, a]))
     assert not np.any(stacked[..., grades % 2 == 1])
-
-
-def test_reachable_mask_equals_pair_set():
-    rng = np.random.default_rng(65)
-    for count_a, count_b in ((1, 1), (1, 255), (5, 30), (128, 128), (100, 157), (200, 200)):
-        a, b = np.zeros(256), np.zeros(256)
-        a[rng.choice(256, count_a, replace=False)] = 1.5
-        b[rng.choice(256, count_b, replace=False)] = -2.0
-        reach = _reachable(a, b)
-        want = _reached(a, b)
-        if count_a + count_b > 256:
-            assert reach is None and want == set(range(256))
-        else:
-            assert set(np.flatnonzero(reach).tolist()) == want
