@@ -23,9 +23,10 @@ geometric product, 4 for the wedge, whose sparse loop skips overlapping pairs
 cheaply).
 
 The table route contracts coefficient vectors through a signed gather index,
-out[c] = sum_r va[r] vb2[index[r, c]] with vb2 = concat(vb, -vb, 0): index[r, c]
-is r ^ c, plus 2^n where e_r e_{r^c} = -e_c, and the zero slot 2^(n+1) where a
-wedge's blades overlap, so one gather applies the sign and one matmul sums.
+out[c] = sum_r va[r] vb2[index[r, c]] with vb2 = concat(vb, -vb): index[r, c]
+is r ^ c, plus 2^n where e_r e_{r^c} = -e_c, so one gather applies the sign and
+one matmul sums.  A wedge index reads the zero slot 2^(n+1), appended to vb2
+for wedges only, where the blades overlap.
 Each signature has one product index and each n one wedge index (the wedge
 sign is metric-free), built on first use in one vectorised pass: intp (a
 narrower index makes numpy cast through a buffer on every gather), 8 * 4^n
@@ -146,11 +147,12 @@ def _check_table_limit(sig: Signature):
 def _signed_index(sig: Signature, kind: str) -> np.ndarray:
     """Sign-folded gather index of one signature for kind "product" or "wedge".
 
-    A coefficient vector b is gathered from _signed(b) = concat(b, -b, 0):
-    index[r, c] = r ^ c where e_r e_{r^c} = +e_c, (r ^ c) + 2^n where it is
-    -e_c, and 2^(n+1), the zero slot, where a wedge's blades r and r ^ c
-    overlap.  The sign is the parity of |(r ^ c) & H(r)| (module docstring), so
-    one bitwise_count over the table gives it.  Read-only intp, 8 * 4^n bytes;
+    A coefficient vector b is gathered from _signed(b) = concat(b, -b), plus a
+    zero slot for a wedge: index[r, c] = r ^ c where e_r e_{r^c} = +e_c,
+    (r ^ c) + 2^n where it is -e_c, and 2^(n+1), the zero slot, where a
+    wedge's blades r and r ^ c overlap; a product index stays below 2^(n+1).
+    The sign is the parity of |(r ^ c) & H(r)| (module docstring), so one
+    bitwise_count over the table gives it.  Read-only intp, 8 * 4^n bytes;
     tables stop at n = DENSE_TABLE_MAX_N.  Non-overlapping blades share no
     generator, so the wedge sign is metric-free: every (p, q) with the same n
     gets the (n, 0) wedge index, the same array.
@@ -175,8 +177,11 @@ def _signed_index(sig: Signature, kind: str) -> np.ndarray:
 _ZERO_SLOT = np.zeros(1)
 
 
-def _signed(b: np.ndarray) -> np.ndarray:
-    """concat(b, -b, 0) over the last axis: what a signed index gathers from."""
+def _signed(b: np.ndarray, zero_slot: bool = False) -> np.ndarray:
+    """concat(b, -b) over the last axis, plus the zero slot a wedge index reads:
+    what a signed index gathers from."""
+    if not zero_slot:
+        return np.concatenate((b, -b), axis=-1)
     zero = _ZERO_SLOT if b.ndim == 1 else np.zeros(b.shape[:-1] + (1,), b.dtype)
     return np.concatenate((b, -b, zero), axis=-1)
 
@@ -192,14 +197,16 @@ def _contract(a: np.ndarray, b: np.ndarray, index: np.ndarray) -> np.ndarray:
     A[i] B[j].  Each block gathers rows of the signed index from _signed(b),
     for as many rows as keep the temporary near _GATHER_ENTRIES entries (at
     least one row, b.size entries), whatever the stacks' heights are.  A
-    vector gathers with one index array, a stack with np.take.
+    vector gathers with one index array, a stack with take.  Only a wedge
+    index reads the zero slot, and it reads it at [-1, 0], where the full
+    blade overlaps itself; a product index gathers from concat(b, -b) alone.
     """
-    source = _signed(b)
+    source = _signed(b, index[-1, 0] == 2 * len(index))
     step = max(1, _GATHER_ENTRIES // max(1, b.size))
     out = None
     for r in range(0, len(index), step):
         rows = index[r : r + step]
-        x = source[rows] if b.ndim == 1 else np.take(source, rows, axis=-1)  # x[..., r, c]
+        x = source[rows] if b.ndim == 1 else source.take(rows, axis=-1)  # x[..., r, c]
         part = a[..., r : r + step] @ x
         if out is None:
             out = part
@@ -208,18 +215,19 @@ def _contract(a: np.ndarray, b: np.ndarray, index: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coefficients(sig: Signature, v, ndim: int = 1) -> np.ndarray:
+def _coefficients(sig: Signature, v, ndim: int | None = 1) -> np.ndarray:
     """v as a float or complex array whose last axis runs over the 2^n blades:
-    a vector (ndim 1) or a (count, 2^n) stack (ndim 2); InvalidInput otherwise.
-    Booleans and integers are read as floats."""
+    a vector (ndim 1), a (count, 2^n) stack (ndim 2) or either (ndim None);
+    InvalidInput otherwise.  Booleans and integers are read as floats."""
     dim = 1 << sig.n
     try:
         v = np.asarray(v)
     except ValueError:  # ragged nesting
         v = np.empty(0, object)
-    if v.ndim == ndim and v.shape[-1] == dim and v.dtype.kind in "biufc":
+    if v.ndim in ((1, 2) if ndim is None else (ndim,)) and v.shape[-1] == dim and v.dtype.kind in "biufc":
         return v if v.dtype.kind in "fc" else v.astype(np.float64)
-    shape = f"a 1-D array of {dim}" if ndim == 1 else f"(count, {dim}) arrays of"
+    shape = {1: f"a 1-D array of {dim}", 2: f"(count, {dim}) arrays of"}.get(
+        ndim, f"a 1-D array or (count, {dim}) arrays of")
     raise InvalidInput(f"coefficients of {sig} must be {shape} numbers")
 
 
@@ -228,15 +236,19 @@ def blade_images(sig: Signature, v, masks=slice(None)) -> tuple:
 
     (e_M v)[c] = v[M ^ c] G[M, c] and (v e_M)[c] = v[M ^ c] G[M ^ c, c], with G
     the sign of e_r e_{r^c}: both gather v's signed coefficients through the
-    product index; no product is formed.
+    product index; no product is formed, so each row is an exact signed copy
+    of v.  v is a vector, giving (masks, 2^n) rows, or a (count, 2^n) stack,
+    giving (count, masks, 2^n) rows.
     """
     dim = 1 << sig.n
     index = _signed_index(sig, "product")
-    source = _signed(_coefficients(sig, v))
+    source = _signed(_coefficients(sig, v, None))
     left = index[masks]
     xor = left & (dim - 1)
     right = xor | index[xor, np.arange(dim)] & dim  # the sign of e_{M^c} e_M
-    return source[left], source[right]
+    if source.ndim == 1:
+        return source[left], source[right]
+    return source.take(left, axis=-1), source.take(right, axis=-1)
 
 
 def right_product_matrix(sig: Signature, v) -> np.ndarray:
@@ -280,7 +292,8 @@ class Multivector:
     instance reads the same whichever it was built from.
     """
 
-    __slots__ = ("sig", "field", "terms", "_vector")  # _vector is unset until to_vector
+    # _vector is unset until to_vector; _versor holds the versor pass of groups on first use
+    __slots__ = ("sig", "field", "terms", "_vector", "_versor")
 
     def __init__(self, sig: Signature, terms: dict, field: str = "real"):
         if field not in ("real", "complex"):
@@ -559,6 +572,13 @@ class _VectorMultivector(Multivector):
 
     def _term_count(self) -> int:
         return int(np.count_nonzero(self._vector))
+
+    def norm_inf(self) -> float:
+        """Multivector.norm_inf; a real vector is read without building the terms
+        (numpy's complex magnitude can differ from Python's abs in the last bit)."""
+        if self.field == "complex":
+            return Multivector.norm_inf(self)
+        return float(np.abs(self._vector).max(initial=0.0))
 
 
 # -- spec-level operations ----------------------------------------------------

@@ -8,6 +8,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,21 +28,77 @@ from .errors import ConvergenceError, InvalidInput, NonInvertible
 _SERIES_CAP = 64
 
 
+class _FrameMasks(NamedTuple):
+    frame: np.ndarray  # the masks 2^(j-1), j = 1..n
+    off_grade: np.ndarray  # over all 2^n blades: grade != 1
+
+
+@lru_cache(maxsize=None)
+def _frame_masks(n: int) -> _FrameMasks:
+    """The read-only masks of n generators that the frame images read."""
+    masks = _FrameMasks(1 << np.arange(n), np.bitwise_count(np.arange(1 << n)) != 1)
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
+
+
+def _scalar_and_rest(x: Multivector) -> tuple:
+    """(<x>_0, |x - <x>_0|_inf): from the coefficient vector up to DENSE_MAX_N
+    generators, where the rest is NaN when the scalar part is not finite, as
+    the difference of terms is; from the terms above, where a vector of 2^n
+    coefficients would outweigh a sparse product."""
+    if x.sig.n > DENSE_MAX_N:
+        s = x.scalar_part()
+        return s, (x - s).norm_inf()
+    v = x.to_vector()
+    s = v[0].item()
+    return s, float(np.abs(v[1:]).max(initial=abs(s - s)))
+
+
+class _VersorPass:
+    """What no tolerance decides about one versor a, kept in a._versor.
+
+    norm = N(a) = <rev(a) <> a>_0, resid = |rev(a) <> a - N(a)|_inf and scale =
+    max(1, |a|_inf^2) come from one product; the inverse rev(a) / N(a), the
+    frame images and their bounds are formed on first use, once a tol has
+    passed the inverse's checks.  The checks themselves run on every call
+    (_checked_pass, _checked_images), so a tol that rejects a still raises.
+    """
+
+    __slots__ = ("rev", "norm", "resid", "scale", "inverse", "images", "bounds")
+
+    def __init__(self, a: Multivector):
+        self.rev = a.reverse()
+        self.norm, self.resid = _scalar_and_rest(geometric_product(self.rev, a))
+        self.scale = max(1.0, a.norm_inf() ** 2)
+        self.inverse = self.images = self.bounds = None
+
+
+def _versor_pass(a: Multivector) -> _VersorPass:
+    try:
+        return a._versor
+    except AttributeError:
+        pass
+    vp = _VersorPass(a)
+    object.__setattr__(a, "_versor", vp)
+    return vp
+
+
+def _checked_pass(a: Multivector, tol: float) -> _VersorPass:
+    """a's versor pass with its inverse; NonInvertible unless rev(a) <> a is a nonzero scalar."""
+    vp = _versor_pass(a)
+    if abs(vp.norm) <= tol * vp.scale:
+        raise NonInvertible("norm N(a) vanishes")
+    if vp.resid > tol * vp.scale:
+        raise NonInvertible("rev(a) <> a is not scalar: not a versor")
+    if vp.inverse is None:
+        vp.inverse = vp.rev * (1.0 / vp.norm)
+    return vp
+
+
 def versor_inverse(a: Multivector, tol: float = 1e-10) -> Multivector:
     """rev(a) / N(a), valid when rev(a) <> a is a nonzero scalar."""
-    rev = a.reverse()
-    return _inverse_from(a, rev, geometric_product(rev, a), tol)
-
-
-def _inverse_from(a: Multivector, rev: Multivector, check: Multivector, tol: float) -> Multivector:
-    """versor_inverse from rev(a) and its product check = rev(a) <> a."""
-    n = check.scalar_part()
-    scale = max(1.0, a.norm_inf() ** 2)
-    if abs(n) <= tol * scale:
-        raise NonInvertible("norm N(a) vanishes")
-    if (check - n).norm_inf() > tol * scale:
-        raise NonInvertible("rev(a) <> a is not scalar: not a versor")
-    return rev * (1.0 / n)
+    return _checked_pass(a, tol).inverse
 
 
 def reflect(u: Multivector, v: Multivector, tol: float = 1e-10) -> Multivector:
@@ -78,6 +136,31 @@ def _series(one, times_b, norm, tol: float):
     raise ConvergenceError(f"rotor series did not converge in {_SERIES_CAP} terms")
 
 
+def _vector_series(right: np.ndarray, tol: float) -> np.ndarray:
+    """_series from the unit on a coefficient vector, times_b = (@ right), in place.
+
+    Each term takes one norm.  |acc|_inf is read only when the term is within
+    tol of bound = 2 sum_k |term_k|_inf (the unit's 1 included), which
+    bounds it with room for rounding; the bound only filters, so the series
+    stops at the term _series stops at and returns the same bits.
+    """
+    term = np.zeros(len(right), right.dtype)
+    term[0] = 1.0
+    acc, step, magnitude = term.copy(), np.empty_like(term), np.empty(len(term))
+    largest = np.maximum.reduce  # NaN-propagating, as ndarray.max
+    total = 1.0
+    for k in range(1, _SERIES_CAP + 1):
+        np.dot(term, right, out=step)
+        np.multiply(step, 1.0 / k, out=term)
+        acc += term
+        size = float(largest(np.abs(term, out=magnitude)))
+        total += size
+        if size <= tol * (1.0 + 2.0 * total):  # else size > tol (1 + |acc|) too
+            if size <= tol * (1.0 + float(largest(np.abs(acc, out=magnitude)))):
+                return acc
+    raise ConvergenceError(f"rotor series did not converge in {_SERIES_CAP} terms")
+
+
 def rotor_exp(B: Multivector, tol: float = 1e-12) -> Multivector:
     """Exponential of a bivector.
 
@@ -89,17 +172,17 @@ def rotor_exp(B: Multivector, tol: float = 1e-12) -> Multivector:
     generators, and when k 2^k reaches a quarter of 2^n, the series runs on a
     coefficient vector in B's dtype: right multiplication by B is the fixed
     matrix right_product_matrix(B), so each term is one vector-matrix product
-    and one Multivector is built at the end.  Otherwise the terms are products
-    of Multivectors, which beat the 2^n x 2^n matrix for few-term B at n = 7, 8.
+    and one norm (_vector_series), and one Multivector is built at the end.
+    Otherwise the terms are products of Multivectors, which beat the 2^n x 2^n
+    matrix for few-term B at n = 7, 8.
     """
     if not B.is_zero() and B.grades() != {2}:
         raise InvalidInput("rotor_exp expects a bivector")
     sig = B.sig
-    one = Multivector.scalar(sig, 1.0)
-    square = geometric_product(B, B)
-    lam = square.scalar_part()
+    lam, rest = _scalar_and_rest(geometric_product(B, B))
     scale = max(1.0, B.norm_inf() ** 2)
-    if (square - lam).norm_inf() <= tol * scale:
+    if rest <= tol * scale:
+        one = Multivector.scalar(sig, 1.0)
         if abs(lam) <= tol * scale:
             return one + B
         if isinstance(lam, complex):
@@ -112,80 +195,105 @@ def rotor_exp(B: Multivector, tol: float = 1e-12) -> Multivector:
         return one * math.cosh(m) + B * (math.sinh(m) / m)
     k = len(B.terms)
     if sig.n > DENSE_MAX_N or k << (k + 2) < 1 << sig.n:
+        one = Multivector.scalar(sig, 1.0)
         return _series(one, lambda term: geometric_product(term, B), Multivector.norm_inf, tol)
-    right = right_product_matrix(sig, B.to_vector())
-    unit = np.zeros(1 << sig.n, right.dtype)
-    unit[0] = 1.0
-    acc = _series(unit, lambda term: term @ right, lambda v: np.abs(v).max(), tol)
-    return Multivector.from_vector(sig, acc)
+    return Multivector._of_vector(sig, _vector_series(right_product_matrix(sig, B.to_vector()), tol))
 
 
 def versor_to_matrix(a: Multivector, tol: float = 1e-10) -> np.ndarray:
     """Orthogonal matrix of the twisted adjoint action on the frame.
 
     Column j holds the frame components of hat(a) <> e^j <> a^-1; the action
-    must preserve grade 1 or the input is rejected.  Up to DENSE_MAX_N
-    generators the n images are one stack_products call on the gathered
-    hat(a) <> e^j and a^-1; above it they are sparse products, column by column.
+    must preserve grade 1 or the input is rejected.  The matrix is float64 for
+    a real versor and complex for a complex one (orthogonal under the
+    transpose, M^T G M = G, with no conjugate).  The images come from a's
+    versor pass, shared with membership and versor_inverse (_VersorPass).
     """
-    frame = 1 << np.arange(a.sig.n)
-    images = _frame_images(a, versor_inverse(a, tol), tol)
-    return images[:, frame].real.T + 0.0  # + 0.0: zero entries read 0.0, not -0.0
+    images = _checked_images(a, tol)
+    return images[:, _frame_masks(a.sig.n).frame].T + 0.0  # + 0.0: zero entries read 0.0, not -0.0
+
+
+def _images(a: Multivector, inv: Multivector) -> np.ndarray:
+    """Coefficient rows of hat(a) <> e^j <> inv, j = 1..n.
+
+    Up to DENSE_MAX_N generators the n images are one stack_products call on
+    the gathered hat(a) <> e^j and inv; above it they are sparse products,
+    one image at a time.
+    """
+    sig = a.sig
+    hat = a.grade_involution()
+    if sig.n <= DENSE_MAX_N:
+        _, hat_frame = blade_images(sig, hat.to_vector(), _frame_masks(sig.n).frame)
+        return stack_products(sig, hat_frame, inv.to_vector()[None])[:, 0]
+    return np.array(
+        [geometric_product(geometric_product(hat, basis_blade(sig, [j])), inv).to_vector()
+         for j in range(1, sig.n + 1)]
+    )
+
+
+def _image_bounds(images: np.ndarray) -> list:
+    """Per image, (the largest off-grade magnitude, max(1, the largest magnitude))."""
+    magnitudes = np.abs(images)
+    scale = np.maximum(1.0, magnitudes.max(axis=1))  # a NaN image gives a NaN scale and fails
+    off_grade = magnitudes[:, _frame_masks(len(images)).off_grade].max(axis=1, initial=0.0)
+    return list(zip(off_grade.tolist(), scale.tolist()))
+
+
+def _check_grade_one(bounds: list, tol: float):
+    if not all(off_grade <= tol * scale for off_grade, scale in bounds):
+        raise NonInvertible("twisted adjoint does not preserve grade 1: not a versor")
 
 
 def _frame_images(a: Multivector, inv: Multivector, tol: float) -> np.ndarray:
     """Coefficient rows of hat(a) <> e^j <> inv, j = 1..n; NonInvertible unless each is a vector."""
-    sig = a.sig
-    hat = a.grade_involution()
-    dim = 1 << sig.n
-    frame = 1 << np.arange(sig.n)
-    if sig.n <= DENSE_MAX_N:
-        _, hat_frame = blade_images(sig, hat.to_vector(), frame)
-        images = stack_products(sig, hat_frame, inv.to_vector()[None])[:, 0]
-    else:
-        images = np.array(
-            [geometric_product(geometric_product(hat, basis_blade(sig, [j])), inv).to_vector()
-             for j in range(1, sig.n + 1)]
-        )
-    magnitudes = np.abs(images)
-    scale = np.maximum(1.0, magnitudes.max(axis=1))  # a NaN image gives a NaN scale and fails
-    off_grade = magnitudes[:, np.bitwise_count(np.arange(dim)) != 1].max(axis=1, initial=0.0)
-    if not (off_grade <= tol * scale).all():
-        raise NonInvertible("twisted adjoint does not preserve grade 1: not a versor")
+    images = _images(a, inv)
+    _check_grade_one(_image_bounds(images), tol)
     return images
+
+
+def _checked_images(a: Multivector, tol: float) -> np.ndarray:
+    """_frame_images of a and a^-1 from a's versor pass, formed once; both checks read tol."""
+    vp = _checked_pass(a, tol)
+    if vp.images is None:
+        vp.images = _images(a, vp.inverse)
+        vp.images.flags.writeable = False
+        vp.bounds = _image_bounds(vp.images)
+    _check_grade_one(vp.bounds, tol)
+    return vp.images
 
 
 @dataclass(frozen=True)
 class MembershipReport:
     is_even: bool
-    norm_N: float
+    norm_N: float | complex  # N(a); a float unless its imaginary part is nonzero
     preserves_vectors: bool
     verdict: str
 
 
 def membership(a: Multivector, tol: float = 1e-9) -> MembershipReport:
-    """Pin/Spin/Spin+ verdict from evenness, |N(a)| = 1, and vector preservation.
+    """Pin/Spin/Spin+ verdict from evenness, N(a) = +-1, and vector preservation.
 
-    One product rev(a) <> a gives N(a) and a^-1; one pass of frame images checks
-    that the twisted adjoint action preserves grade 1, as versor_to_matrix does.
+    N(a) and the frame images come from a's versor pass, the one
+    versor_to_matrix reads (_VersorPass); the tol checks run here.  N(a) is
+    decided as a complex number: it must lie within tol of +1 or -1, and
+    Spin+ asks for +1.
     """
-    rev = a.reverse()
-    check = geometric_product(rev, a)
-    n_val = float(np.real(check.scalar_part()))
+    norm = _versor_pass(a).norm
     is_even = all(k % 2 == 0 for k in a.grades())
     try:
-        _frame_images(a, _inverse_from(a, rev, check, tol), tol)
+        _checked_images(a, tol)
         preserves = True
     except NonInvertible:
         preserves = False
-    unit_norm = abs(abs(n_val) - 1.0) <= tol
+    unit_norm = min(abs(norm - 1.0), abs(norm + 1.0)) <= tol
     verdict = "none"
     if preserves and unit_norm:
         if is_even:
-            verdict = "spin_plus" if abs(n_val - 1.0) <= tol else "spin"
+            verdict = "spin_plus" if abs(norm - 1.0) <= tol else "spin"
         else:
             verdict = "pin"
-    return MembershipReport(is_even, n_val, preserves, verdict)
+    norm_N = norm if isinstance(norm, complex) and norm.imag else float(norm.real)
+    return MembershipReport(is_even, norm_N, preserves, verdict)
 
 
 def metric_matrix(sig: Signature) -> np.ndarray:

@@ -12,16 +12,14 @@ representation living inside the algebra itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .algebra import (
     Multivector,
     Signature,
-    approx_equal,
     blade_images,
-    geometric_product,
     stack_products,
 )
 from .errors import InvalidInput, SignatureMismatch, UnsupportedDivisionRing
@@ -205,15 +203,23 @@ def check_clifford_relations(rep: RepBundle) -> RelationReport:
     if any(g.shape != (dim, dim) for g in rep.gammas):
         raise InvalidInput("gamma matrices of mixed dimensions")
     n = len(rep.gammas)
-    G = np.stack(rep.gammas)
+    G = np.array(rep.gammas)
     prods = G[:, None] @ G[None]  # gamma_i gamma_j at [i, j]
-    anti = prods + prods.transpose(1, 0, 2, 3)
-    anti[range(n), range(n)] -= 2.0 * np.array(rep.sig.metric_tuple())[:, None, None] * np.eye(dim)
+    anti = np.add(prods, prods.transpose(1, 0, 2, 3), out=np.empty(prods.shape, prods.dtype))
+    anti.reshape(n * n, dim, dim)[:: n + 1] -= _relation_target(rep.sig, dim)  # C order: a view of (i, i)
     res = np.abs(anti).max(axis=(2, 3))
     # argmax takes the first NaN, else the first largest residual in row-major order
     i, j = divmod(int(np.argmax(res)), n)
     worst = float(res[i, j])
     return RelationReport(worst, (i + 1, j + 1) if worst != 0.0 else (0, 0))
+
+
+@lru_cache(maxsize=32)
+def _relation_target(sig: Signature, dim: int) -> np.ndarray:
+    """The anticommutator targets 2 g_ii I of one signature, (n, dim, dim), read-only."""
+    target = 2.0 * np.array(sig.metric_tuple())[:, None, None] * np.eye(dim)
+    target.flags.writeable = False
+    return target
 
 
 # Integer part of the Dirac<->Weyl change of basis: S = M / sqrt(2), S^-1 = S.
@@ -271,59 +277,71 @@ class IdempotentRep:
         """The diagonal idempotents E_aa."""
         return [self.Emat[a][a] for a in range(self.size)]
 
-    def _matrices_of(self, X: np.ndarray, tol: float) -> np.ndarray:
-        """(k, size, size) matrices of the rows x of a (k, 2^n) coefficient stack:
-        entry (a, b) is the lam with E_1a x E_b1 = lam f1, from two batched products."""
-        k, dim = X.shape
-        left = stack_products(self.sig, self.rows, X).reshape(-1, dim)  # E_1a X[i] at a * k + i
-        prods = stack_products(self.sig, left, self.cols).reshape(self.size, k, self.size, dim)
+    def _matrices_of(self, left: np.ndarray, tol: float) -> np.ndarray:
+        """(k, size, size) matrices of k elements x_i from the (size, k, 2^n) stack
+        left[a, i] = E_1a x_i: entry (a, b) is the lam with E_1a x_i E_b1 = lam f1."""
+        size, k, dim = left.shape
+        prods = stack_products(self.sig, left.reshape(-1, dim), self.cols).reshape(size, k, size, dim)
         lam, resid, bad = _multiples(prods.transpose(1, 0, 2, 3), self.f1, self.f1[0], tol)
-        if len(bad):
-            a, b = bad[0][-2:]
+        if bad is not None:
+            a, b = bad[-2:]
             raise UnsupportedDivisionRing(
-                f"E_1{a} x E_{b}1 is not a real multiple of f1 (residual {resid[tuple(bad[0])]:.2e})"
+                f"E_1{a} x E_{b}1 is not a real multiple of f1 (residual {resid[bad]:.2e})"
             )
         return lam
 
     def matrix_of(self, x: Multivector, tol: float = 1e-9) -> np.ndarray:
         if x.sig != self.sig:
             raise SignatureMismatch(f"{x.sig} vs {self.sig}")
-        return self._matrices_of(x.to_vector()[None], tol)[0]
+        return self._matrices_of(stack_products(self.sig, self.rows, x.to_vector()[None]), tol)[0]
 
     def gamma_matrices(self, tol: float = 1e-9) -> list:
-        n, dim = self.sig.n, 1 << self.sig.n
-        return list(self._matrices_of(np.eye(dim)[1 << np.arange(n)], tol))
+        """Matrices of the generators: E_1a e_i is gathered as a signed copy of
+        E_1a's row (blade_images), so one product stack remains."""
+        _, left = blade_images(self.sig, self.rows, 1 << np.arange(self.sig.n))
+        return list(self._matrices_of(left, tol))
+
+
+@lru_cache(maxsize=None)
+def _scan_order(n: int) -> np.ndarray:
+    """The 2^n blade masks in (grade, mask) order, read-only."""
+    masks = np.arange(1 << n)
+    order = masks[np.lexsort((masks, np.bitwise_count(masks)))]
+    order.flags.writeable = False
+    return order
 
 
 def _ideal_basis_rows(images: np.ndarray, tol: float = 1e-9) -> list:
-    """Masks of the blade images that raise the rank, scanned in (grade, mask) order.
+    """Per (2^n, 2^n) stack of blade images, the masks of the images that raise
+    the rank, scanned in (grade, mask) order; images is (count, 2^n, 2^n).
 
     Image i raises the rank when its distance from the span of the images
     before it exceeds tol times its norm; that distance is |R_ii| of the QR
-    factorisation of the images as columns, in scan order.  Images of norm
-    <= tol are skipped.  Scanning blades in (grade, mask) order makes the
-    chosen basis deterministic and reproduces the textbook Cl(2,0) basis verbatim.
+    factorisation of the images as columns, in scan order, the diagonal of
+    the first output of one stacked qr(mode="raw").  Images of norm <= tol
+    are skipped.  Scanning blades in (grade, mask) order makes the chosen
+    basis deterministic and reproduces the textbook Cl(2,0) basis verbatim.
     """
-    masks = np.arange(len(images))
-    order = masks[np.lexsort((masks, np.bitwise_count(masks)))]
-    columns = images[order].T
-    norms = np.linalg.norm(columns, axis=0)
+    order = _scan_order(images.shape[-1].bit_length() - 1)
+    rows = images[:, order]  # a copy: image j of the scan at [:, j]
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=-1))  # np.linalg.norm's sum, without its checks
     live = norms > tol
-    columns[:, ~live] = 0.0
-    distance = np.abs(np.diagonal(np.linalg.qr(columns, mode="r")))
-    return order[live & (distance > tol * norms)].tolist()
+    rows[~live] = 0.0
+    distance = np.abs(np.diagonal(np.linalg.qr(rows.swapaxes(-1, -2), mode="raw")[0], axis1=-2, axis2=-1))
+    return [order[keep].tolist() for keep in live & (distance > tol * norms)]
 
 
 def _multiples(prods: np.ndarray, ref: np.ndarray, scalar: float, tol: float) -> tuple:
     """Read prods[...] = lam ref with lam = <prods>_0 / scalar; the division-ring gate.
 
-    Returns lam, the residuals |prod - lam ref|_inf and the indices where the
-    residual is not within tol * max(1, |prod|_inf) (a NaN residual fails).
+    Returns lam, the residuals |prod - lam ref|_inf and the first index, in
+    row-major order, where the residual is not within tol * max(1, |prod|_inf)
+    (a NaN residual fails), or None.
     """
     lam = (prods[..., 0] + 0.0) / scalar  # + 0.0: an absent scalar part reads 0.0, not -0.0
-    resid = np.abs(prods - lam[..., None] * ref).max(axis=-1)
-    bad = np.argwhere(~(resid <= tol * np.maximum(1.0, np.abs(prods).max(axis=-1))))
-    return lam, resid, bad
+    resid = np.maximum.reduce(np.abs(prods - lam[..., None] * ref), axis=-1)
+    ok = resid <= tol * np.maximum.reduce(np.abs(prods), axis=-1, initial=1.0)  # NaN stays NaN
+    return lam, resid, None if ok.all() else tuple(np.argwhere(~ok)[0].tolist())
 
 
 def rep_from_idempotent(sig: Signature, f1: Multivector, tol: float = 1e-9) -> IdempotentRep:
@@ -331,7 +349,8 @@ def rep_from_idempotent(sig: Signature, f1: Multivector, tol: float = 1e-9) -> I
 
     Computes the minimal left ideal Cl <> f1 by rank analysis of the blade
     images e_M <> f1, gathered from f1's coefficients through the product
-    index, picks the column basis {E_A1} by a pivoted scan, solves the dual
+    index (they also give the idempotence check, f1 <> f1 = f1 @ images),
+    picks the column basis {E_A1} by a pivoted scan, solves the dual
     basis {E_1A} from E_1A <> E_B1 = delta f1, and assembles E_AB = E_A1 <> E_1B
     on first read of Emat; the products are batched over the gather indices.
     Only the real-commutant case is supported: f1 <> Cl <> f1 must be
@@ -341,7 +360,13 @@ def rep_from_idempotent(sig: Signature, f1: Multivector, tol: float = 1e-9) -> I
         raise InvalidInput("idempotent signature mismatch")
     if f1.field != "real":
         raise InvalidInput("idempotent must be real")
-    if not approx_equal(geometric_product(f1, f1), f1, max(tol, 1e-12)):
+    f1v = f1.to_vector()
+    left, right = blade_images(sig, f1v)  # row M: e_M <> f1 and f1 <> e_M
+    # f1 <> f1 = sum_M f1[M] e_M <> f1 from the left images, held to approx_equal's rule:
+    # |f1 f1 - f1|_inf <= tol max(1, |f1 f1|_inf, |f1|_inf), where a NaN difference fails
+    square = f1v @ left
+    diff, top_square, top = np.maximum.reduce(np.abs(np.array((square - f1v, square, f1v))), axis=1).tolist()
+    if not diff <= max(tol, 1e-12) * max(1.0, top_square, top):
         raise InvalidInput("f1 is not idempotent")
 
     descriptor = classify_real(sig.p, sig.q)
@@ -351,30 +376,24 @@ def rep_from_idempotent(sig: Signature, f1: Multivector, tol: float = 1e-9) -> I
         )
     expected = descriptor.matrix_dim * RING_DIM[descriptor.division_ring]
 
-    f1v = f1.to_vector()
-    left, right = blade_images(sig, f1v)  # row M: e_M <> f1 and f1 <> e_M
-
-    col_masks = _ideal_basis_rows(left, tol)
+    col_masks, row_masks = _ideal_basis_rows(np.array((left, right)), tol)
     if len(col_masks) != expected:
         raise InvalidInput(
             f"ideal dimension {len(col_masks)} != {expected}: f1 is not primitive"
         )
-    cols = left[col_masks]
-    scale = max(1.0, np.abs(cols[0]).max(), np.abs(f1v).max())
-    if not np.abs(cols[0] - f1v).max() <= max(tol, 1e-12) * scale:
-        # The scan always hits 1 <> f1 = f1 first; anything else is a logic error.
+    if col_masks[0] != 0:
+        # The scan always hits 1 <> f1 = f1 (left[0], an exact copy) first; anything else is a logic error.
         raise InvalidInput("ideal basis does not start at f1")
-
-    row_masks = _ideal_basis_rows(right, tol)
     if len(row_masks) != expected:
         raise InvalidInput("row ideal dimension mismatch: f1 is not primitive")
 
     # P[j, b] f1 = (row image j) <> E_b1; each product must be a real
     # multiple of f1 (the division-ring gate).
-    P, resid, bad = _multiples(stack_products(sig, right[row_masks], cols), f1v, f1v[0], tol)
-    if len(bad):
+    cols, row_images = left[col_masks], right[row_masks]
+    P, resid, bad = _multiples(stack_products(sig, row_images, cols), f1v, f1v[0], tol)
+    if bad is not None:
         raise UnsupportedDivisionRing(
-            f"f1 <> Cl <> f1 is not one-dimensional over R (residual {resid[tuple(bad[0])]:.2e})"
+            f"f1 <> Cl <> f1 is not one-dimensional over R (residual {resid[bad]:.2e})"
         )
-    coeffs = np.linalg.solve(P.T, np.eye(expected)).T  # row a: E_1a in row-basis coordinates
-    return IdempotentRep(sig, expected, cols, coeffs @ right[row_masks], f1v)
+    coeffs = np.linalg.inv(P.T).T  # row a: E_1a in row-basis coordinates; solve(P^T, I), one gesv
+    return IdempotentRep(sig, expected, cols, coeffs @ row_images, f1v)

@@ -1,6 +1,7 @@
 """Versor machinery: inverses, reflections, the twisted adjoint, rotor
 exponentials, orthogonal matrices, and group membership."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from spinorlab.algebra import (
     Multivector,
+    right_product_matrix,
     Signature,
     approx_equal,
     basis_blade,
@@ -268,6 +270,111 @@ class TestRotorSeries:
         assert str(raised.value) == "rotor series did not converge in 64 terms"
 
 
+def term_by_term_series(B, tol=1e-12):
+    """The vector series as _series runs it: a new term and accumulator per step, two
+    norms per term.  Returns the sum and the number of terms taken."""
+    right = right_product_matrix(B.sig, B.to_vector())
+    unit = np.zeros(1 << B.sig.n, right.dtype)
+    unit[0] = 1.0
+    steps = []
+    acc = groups._series(unit, lambda term: steps.append(1) or term @ right, lambda v: np.abs(v).max(), tol)
+    return acc, len(steps)
+
+
+class TestOneNormSeries:
+    """_vector_series takes one norm per term and reads |acc| only near the stop; it
+    stops at the term _series stops at and returns the same bits."""
+
+    @pytest.mark.parametrize("sig", SERIES_SIGS, ids=str)
+    def test_stops_at_the_same_term_with_the_same_bits(self, sig, monkeypatch):
+        rng = np.random.default_rng(60 + 9 * sig.p + sig.q)
+        for complex_coeffs in (False, True):
+            for norm in (0.5, 1.5, 3.0):
+                B = full_bivector(sig, rng, norm, complex_coeffs)
+                want, terms = term_by_term_series(B)
+                right = right_product_matrix(sig, B.to_vector())
+                got = groups._vector_series(right, 1e-12)
+                assert got.dtype == want.dtype, (sig, complex_coeffs, norm)
+                assert got.tobytes() == want.tobytes(), (sig, complex_coeffs, norm)
+                monkeypatch.setattr(groups, "_SERIES_CAP", terms - 1)  # one term short: no stop
+                with pytest.raises(ConvergenceError):
+                    groups._vector_series(right, 1e-12)
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize("sig", [Signature(4, 0), Signature(1, 3), Signature(4, 1), Signature(3, 4)],
+                             ids=str)
+    def test_nan_and_large_bivectors_hit_the_cap(self, sig):
+        rng = np.random.default_rng(63 + sig.n)
+        large = full_bivector(sig, rng, 40.0)
+        nan = Multivector(sig, {**full_bivector(sig, rng, 1.5).terms, 0b11: math.nan})
+        for B in (large, nan):
+            with pytest.raises(ConvergenceError, match="did not converge in 64 terms"):
+                term_by_term_series(B)
+            with pytest.raises(ConvergenceError, match="did not converge in 64 terms"):
+                groups._vector_series(right_product_matrix(sig, B.to_vector()), 1e-12)
+            with pytest.raises(ConvergenceError, match="did not converge in 64 terms"):
+                rotor_exp(B)
+
+
+class TestVersorPass:
+    """versor_to_matrix, membership and versor_inverse share one rev(a) <> a and one set
+    of frame images per Multivector; each call still checks against its own tol."""
+
+    def counted_products(self, monkeypatch):
+        calls = []
+        counted = lambda a, b: calls.append(1) or geometric_product(a, b)
+        monkeypatch.setattr(groups, "geometric_product", counted)
+        return calls
+
+    @pytest.mark.parametrize("sig", [S30, S13, Signature(2, 2), Signature(4, 1), Signature(6, 2)], ids=str)
+    def test_one_product_per_versor(self, sig, monkeypatch):
+        R = rotor_exp(random_homogeneous(sig, 2, np.random.default_rng(80 + sig.n)) * 0.4)
+        calls = self.counted_products(monkeypatch)
+        M = versor_to_matrix(R)
+        assert membership(R).verdict == "spin_plus"
+        assert len(calls) == 1  # rev(R) <> R; the images are a gather and one stack product
+        versor_inverse(R)
+        assert len(calls) == 1
+        negated = R * -1.0  # a new Multivector makes its own pass
+        assert np.array_equal(versor_to_matrix(negated), M)
+        assert len(calls) == 2
+
+    def test_shared_pass_gives_the_uncached_results(self):
+        R = rotor_exp(random_homogeneous(S13, 2, np.random.default_rng(81)) * 0.6)
+        frame = 1 << np.arange(4)
+        fresh = Multivector.from_vector(S13, R.to_vector())
+        images = groups._frame_images(fresh, fresh.reverse() * (1.0 / norms(fresh)[0]), 1e-10)
+        assert versor_to_matrix(R).tobytes() == (images[:, frame].real.T + 0.0).tobytes()
+        assert versor_inverse(R) == versor_inverse(fresh)
+
+    def test_each_call_checks_its_own_tol(self):
+        # 1 + eps e123 in Cl(3,0): rev(a) <> a = 1 + eps^2 is a scalar, but each
+        # image carries a bivector part of about 2 eps.
+        for order in ((1e-3, 1e-10), (1e-10, 1e-3)):
+            a = Multivector.scalar(S30, 1.0) + basis_blade(S30, [1, 2, 3]) * 1e-6
+            for tol in order:
+                if tol == 1e-3:
+                    assert versor_to_matrix(a, tol).shape == (3, 3)
+                    assert membership(a, tol).preserves_vectors
+                else:
+                    with pytest.raises(NonInvertible, match="does not preserve grade 1"):
+                        versor_to_matrix(a, tol)
+                    assert not membership(a, tol).preserves_vectors
+        # R + eps e123: rev(a) <> a has a vector part of order eps
+        R = rotor_exp(basis_blade(S30, [1, 2]) * 0.7 + basis_blade(S30, [2, 3]) * 0.2)
+        a = R + basis_blade(S30, [1, 2, 3]) * 1e-6
+        assert versor_to_matrix(a, 1e-3).shape == (3, 3)
+        with pytest.raises(NonInvertible, match="not scalar"):
+            versor_to_matrix(a, 1e-10)
+        assert membership(a, 1e-3).preserves_vectors and not membership(a, 1e-10).preserves_vectors
+        # a short vector: N(a) = 1e-12 vanishes below tol = 1e-10 only
+        short = basis_blade(S30, [1]) * 1e-6
+        assert versor_inverse(short, 1e-13) == basis_blade(S30, [1]) * 1e6
+        with pytest.raises(NonInvertible, match="norm N"):
+            versor_inverse(short, 1e-10)
+        assert versor_inverse(short, 1e-13) == basis_blade(S30, [1]) * 1e6
+
+
 class TestVersorMatrix:
     def test_examples(self):
         assert np.array_equal(versor_to_matrix(Multivector.scalar(S30, 1.0)), np.eye(3))
@@ -321,6 +428,31 @@ class TestVersorMatrix:
             assert abs(nab - na * nb) <= 1e-10 * max(1.0, abs(na * nb))
 
 
+    def test_complex_versor_gives_a_complex_matrix(self):
+        """exp(0.3i e12) rotates the e1 e2 plane by the imaginary angle 0.6i."""
+        R = rotor_exp(Multivector(S30, {0b11: 0.3j}, "complex"))
+        M = versor_to_matrix(R)
+        assert M.dtype == np.complex128
+        G = metric_matrix(S30)
+        assert np.abs(M.T @ G @ M - G).max() <= 1e-12  # transpose, no conjugate
+        c, s = math.cosh(0.6), math.sinh(0.6)
+        want = np.array([[c, 1j * s, 0], [-1j * s, c, 0], [0, 0, 1]])
+        assert np.abs(M - want).max() <= 1e-12
+        inv = versor_inverse(R)
+        for j in range(3):
+            image = geometric_product(geometric_product(R.grade_involution(), basis_blade(S30, [j + 1])), inv)
+            assert np.abs(M[:, j] - image.to_vector()[[1, 2, 4]]).max() <= 1e-12
+            assert image.grades() <= {1}
+        assert np.abs(M.conj().T @ M - np.eye(3)).max() > 1.0  # not unitary: the conjugate is wrong here
+
+    def test_real_versor_keeps_its_float_matrix(self):
+        R = rotor_exp(random_homogeneous(S13, 2, np.random.default_rng(82)) * 0.5)
+        images = groups._frame_images(R, versor_inverse(R), 1e-10)
+        M = versor_to_matrix(R)
+        assert M.dtype == np.float64
+        assert M.tobytes() == (images[:, 1 << np.arange(4)].real.T + 0.0).tobytes()
+
+
 def membership_reference(a, tol=1e-9):
     """membership through versor_to_matrix, which forms a^-1 and the frame images itself."""
     n_val = float(np.real(geometric_product(a.reverse(), a).scalar_part()))
@@ -366,6 +498,19 @@ class TestMembership:
         assert rep.verdict == "pin" and not rep.is_even and rep.norm_N == 1.0
         bad = membership(Multivector.scalar(S30, 1.0) + basis_blade(S30, [1]))
         assert bad.verdict == "none" and not bad.preserves_vectors
+
+    def test_complex_norm_is_decided_as_a_complex_number(self):
+        """N(a) must be +-1 as a complex number: its imaginary part counts."""
+        a = Multivector.scalar(S30, cmath.sqrt(1 + 0.5j))
+        rep = membership(a)
+        assert isinstance(rep.norm_N, complex) and abs(rep.norm_N - (1 + 0.5j)) <= 1e-15
+        assert rep.preserves_vectors and rep.is_even and rep.verdict == "none"
+        rep = membership(Multivector.scalar(S30, 1j))  # N = (1j)(1j) = -1
+        assert rep.norm_N == -1.0 and isinstance(rep.norm_N, float)
+        assert rep.verdict == "spin"
+        R = rotor_exp(basis_blade(S30, [1, 2]) * 0.7).to_complex()
+        rep = membership(R)
+        assert rep.verdict == "spin_plus" and isinstance(rep.norm_N, float)
 
     def test_spin_not_plus(self):
         s11 = Signature(1, 1)

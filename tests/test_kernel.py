@@ -86,6 +86,40 @@ def test_wedge_index_is_shared_by_every_signature_of_one_n():
     assert _signed_index(Signature(3, 3), "product") is not _signed_index(Signature(6, 0), "product")
 
 
+def test_only_wedges_read_the_zero_slot(monkeypatch):
+    """A product index stays below 2^(n+1), so product gathers (_contract over a
+    product index, blade_images, right_product_matrix) append no zero slot; a
+    wedge index reads it and gathers from concat(b, -b, 0)."""
+    for n in range(9):
+        for p in range(n + 1):
+            assert _signed_index(Signature(p, n - p), "product").max() < 2 << n, (p, n - p)
+        if n:
+            assert _signed_index(Signature(n, 0), "wedge")[-1, 0] == 2 << n
+    seen = []
+    signed = algebra._signed
+
+    def recorded(b, zero_slot=False):
+        out = signed(b, zero_slot)
+        seen.append((zero_slot, out.shape[-1]))
+        return out
+
+    monkeypatch.setattr(algebra, "_signed", recorded)
+    sig = Signature(2, 2)
+    rng = np.random.default_rng(27)
+    a, b = rng.normal(size=16), rng.normal(size=(3, 16))
+    table = dense_table(sig)
+    table.product(a, b[0])
+    stack_products(sig, b, b)
+    blade_images(sig, a)
+    blade_images(sig, b, [1, 2])
+    right_product_matrix(sig, a)
+    assert seen == [(False, 32)] * 5
+    seen.clear()
+    got = table.wedge(a, b[0])
+    assert seen == [(True, 33)]
+    assert np.array_equal(got, _reference_contract(sig, a, b[0], "wedge"))
+
+
 def _pair_loop(a, b, is_wedge):
     """The sparse product as it was before the sign form: one rule call per term pair."""
     metric = a.sig.metric_tuple()
@@ -293,15 +327,20 @@ MALFORMED = [
 
 @pytest.mark.parametrize("bad", [m[1] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
 def test_vector_entry_points_reject_malformed_input(bad):
-    """Each argument must be a 1-D array-like of 2^n numbers; anything else is InvalidInput."""
+    """Each argument must be a 1-D array-like of 2^n numbers; anything else is InvalidInput.
+    blade_images also takes a (count, 2^n) stack, and gives each row's images."""
     sig = Signature(2, 0)
     table, good = dense_table(sig), np.ones(4)
     calls = [
         lambda: table.product(good, bad), lambda: table.product(bad, good),
         lambda: table.wedge(good, bad), lambda: table.wedge(bad, good),
-        lambda: blade_images(sig, bad), lambda: right_product_matrix(sig, bad),
-        lambda: Multivector.from_vector(sig, bad),
+        lambda: right_product_matrix(sig, bad), lambda: Multivector.from_vector(sig, bad),
     ]
+    if isinstance(bad, np.ndarray) and bad.shape == (2, 4):
+        stacked = blade_images(sig, bad)
+        assert all(np.array_equal(s, np.stack([b] * 2)) for s, b in zip(stacked, blade_images(sig, bad[0])))
+    else:
+        calls.append(lambda: blade_images(sig, bad))
     for call in calls:
         with pytest.raises(InvalidInput):
             call()

@@ -4,7 +4,10 @@ algorithm with its Cl(2,0) golden values."""
 import numpy as np
 import pytest
 
-from spinorlab.algebra import Multivector, Signature, basis_blade, geometric_product
+import math
+
+from spinorlab import matrices
+from spinorlab.algebra import Multivector, Signature, basis_blade, blade_images, geometric_product
 from spinorlab.errors import InvalidInput, UnsupportedDivisionRing
 from spinorlab.matrices import (
     builtin_gammas,
@@ -185,6 +188,18 @@ class TestIdempotentRep:
         with pytest.raises(InvalidInput):
             rep_from_idempotent(sig, basis_blade(sig, [1]) * 0.7)
 
+    def test_idempotence_gate(self):
+        """f1 f1 is read off the left blade images; the rule and message are approx_equal's."""
+        sig = Signature(2, 0)
+        one, e1 = Multivector.scalar(sig, 1.0), basis_blade(sig, [1])
+        for f1 in ((one + e1) * 0.6, Multivector(sig, {0: 0.5, 1: 0.5, 2: math.nan})):
+            with pytest.raises(InvalidInput, match="f1 is not idempotent"):
+                rep_from_idempotent(sig, f1)
+        nearly = (one + e1) * (0.5 + 1e-10)  # within tol = 1e-9 of idempotent
+        assert rep_from_idempotent(sig, nearly).size == 2
+        with pytest.raises(InvalidInput, match="f1 is not idempotent"):
+            rep_from_idempotent(sig, nearly, tol=1e-12)
+
     def test_rejects_non_primitive(self):
         sig = Signature(2, 0)
         with pytest.raises(InvalidInput):
@@ -195,3 +210,43 @@ class TestIdempotentRep:
         f1 = (Multivector.scalar(sig, 1.0) + basis_blade(sig, [1])) * 0.5
         with pytest.raises(UnsupportedDivisionRing):
             rep_from_idempotent(sig, f1)
+
+
+def _single_scan(images, tol=1e-9):
+    """One image set at a time, as the scan ran before it was stacked: np.linalg.norm
+    and qr(mode="r") on the images as columns in (grade, mask) order."""
+    masks = np.arange(len(images))
+    order = masks[np.lexsort((masks, np.bitwise_count(masks)))]
+    columns = images[order].T
+    norms = np.linalg.norm(columns, axis=0)
+    live = norms > tol
+    columns[:, ~live] = 0.0
+    distance = np.abs(np.diagonal(np.linalg.qr(columns, mode="r")))
+    return order[live & (distance > tol * norms)].tolist()
+
+
+@pytest.mark.parametrize(
+    "sig,f1_blades",
+    [(Signature(2, 0), [[1]]), (Signature(1, 1), [[1, 2]]), (Signature(3, 1), [[1], [2, 4]]),
+     (Signature(2, 2), [[1], [2, 4]]), (Signature(3, 0), [[1]]),
+     (Signature(4, 4), [[1], [2, 5], [3, 6], [4, 7]])],
+    ids=str,
+)
+def test_stacked_ideal_scan_equals_single_scans(sig, f1_blades):
+    """Rank-deficient blade images, all-zero and NaN images and a full-rank set."""
+    one = Multivector.scalar(sig, 1.0)
+    f1 = one
+    for blades in f1_blades:
+        f1 = geometric_product(f1, (one + basis_blade(sig, blades)) * 0.5)
+    left, right = blade_images(sig, f1.to_vector())
+    dim = 1 << sig.n
+    rng = np.random.default_rng(sig.n)
+    zero, full = np.zeros((dim, dim)), rng.normal(size=(dim, dim))
+    partial = left.copy()
+    partial[3] = math.nan
+    sets = [left, right, zero, full, partial]
+    want = [_single_scan(images.copy()) for images in sets]
+    assert matrices._ideal_basis_rows(np.array(sets)) == want
+    for images, masks in zip(sets, want):
+        assert matrices._ideal_basis_rows(images[None]) == [masks]
+    assert want[2] == [] and sorted(want[3]) == list(range(dim)) and 0 < len(want[0]) < dim
