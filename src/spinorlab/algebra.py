@@ -189,7 +189,7 @@ def _signed(b: np.ndarray, zero_slot: bool = False) -> np.ndarray:
 _GATHER_ENTRIES = 1 << 14  # entries gathered per block: bounds the temporary at 128 KiB of float64
 
 
-def _contract(a: np.ndarray, b: np.ndarray, index: np.ndarray) -> np.ndarray:
+def _contract(a: np.ndarray, b: np.ndarray, index: np.ndarray, zero_slot: bool = True) -> np.ndarray:
     """out[..., c] = sum_r a[..., r] (+-b or 0)[..., index[r, c]], a block of rows r at a time.
 
     a and b are coefficient vectors or (count, 2^n) stacks, real or complex; for
@@ -198,10 +198,10 @@ def _contract(a: np.ndarray, b: np.ndarray, index: np.ndarray) -> np.ndarray:
     for as many rows as keep the temporary near _GATHER_ENTRIES entries (at
     least one row, b.size entries), whatever the stacks' heights are.  A
     vector gathers with one index array, a stack with take.  Only a wedge
-    index reads the zero slot, and it reads it at [-1, 0], where the full
-    blade overlaps itself; a product index gathers from concat(b, -b) alone.
+    index reads the zero slot; callers that pass a product index pass
+    zero_slot=False and gather from concat(b, -b) alone.
     """
-    source = _signed(b, index[-1, 0] == 2 * len(index))
+    source = _signed(b, zero_slot)
     step = max(1, _GATHER_ENTRIES // max(1, b.size))
     out = None
     for r in range(0, len(index), step):
@@ -268,7 +268,7 @@ def stack_products(sig: Signature, A, B) -> np.ndarray:
     one contraction through the signed product index, up to n = DENSE_TABLE_MAX_N.
     """
     A, B = _coefficients(sig, A, 2), _coefficients(sig, B, 2)
-    return _contract(A, B, _signed_index(sig, "product")).transpose(1, 0, 2)
+    return _contract(A, B, _signed_index(sig, "product"), zero_slot=False).transpose(1, 0, 2)
 
 
 def _number(value):
@@ -573,13 +573,6 @@ class _VectorMultivector(Multivector):
     def _term_count(self) -> int:
         return int(np.count_nonzero(self._vector))
 
-    def norm_inf(self) -> float:
-        """Multivector.norm_inf; a real vector is read without building the terms
-        (numpy's complex magnitude can differ from Python's abs in the last bit)."""
-        if self.field == "complex":
-            return Multivector.norm_inf(self)
-        return float(np.abs(self._vector).max(initial=0.0))
-
 
 # -- spec-level operations ----------------------------------------------------
 
@@ -619,7 +612,7 @@ def _dense(a: Multivector, b: Multivector, multiple: int) -> bool:
 
 def _dense_apply(a: Multivector, b: Multivector, wedge: bool = False) -> Multivector:
     index = _signed_index(a.sig, "wedge" if wedge else "product")
-    return Multivector._of_vector(a.sig, _contract(a.to_vector(), b.to_vector(), index))
+    return Multivector._of_vector(a.sig, _contract(a.to_vector(), b.to_vector(), index, wedge))
 
 
 def _sparse_product(a: Multivector, b: Multivector, wedge: bool = False) -> Multivector:
@@ -826,7 +819,7 @@ class DenseTable:
     def product(self, va, vb) -> np.ndarray:
         """Geometric product of two coefficient vectors through the signed product index."""
         va, vb = _coefficients(self.sig, va), _coefficients(self.sig, vb)
-        return _contract(va, vb, _signed_index(self.sig, "product"))
+        return _contract(va, vb, _signed_index(self.sig, "product"), zero_slot=False)
 
     def wedge(self, va, vb) -> np.ndarray:
         """Exterior product of two coefficient vectors through the signed wedge index."""

@@ -204,13 +204,16 @@ def versor_to_matrix(a: Multivector, tol: float = 1e-10) -> np.ndarray:
     """Orthogonal matrix of the twisted adjoint action on the frame.
 
     Column j holds the frame components of hat(a) <> e^j <> a^-1; the action
-    must preserve grade 1 or the input is rejected.  The matrix is float64 for
-    a real versor and complex for a complex one (orthogonal under the
-    transpose, M^T G M = G, with no conjugate).  The images come from a's
-    versor pass, shared with membership and versor_inverse (_VersorPass).
+    must preserve grade 1 or the input is rejected.  The matrix is complex
+    when an entry has a nonzero imaginary part (orthogonal under the
+    transpose, M^T G M = G, with no conjugate) and float64 otherwise, as
+    membership's norm_N is.  The images come from a's versor pass, shared
+    with membership and versor_inverse (_VersorPass).
     """
-    images = _checked_images(a, tol)
-    return images[:, _frame_masks(a.sig.n).frame].T + 0.0  # + 0.0: zero entries read 0.0, not -0.0
+    columns = _checked_images(a, tol)[:, _frame_masks(a.sig.n).frame]
+    if columns.dtype.kind == "c" and not columns.imag.any():
+        columns = columns.real
+    return columns.T + 0.0  # + 0.0: zero entries read 0.0, not -0.0
 
 
 def _images(a: Multivector, inv: Multivector) -> np.ndarray:

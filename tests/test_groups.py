@@ -452,6 +452,17 @@ class TestVersorMatrix:
         assert M.dtype == np.float64
         assert M.tobytes() == (images[:, 1 << np.arange(4)].real.T + 0.0).tobytes()
 
+    def test_real_versor_in_the_complex_field_gives_a_float_matrix(self):
+        """The dtype follows the entries, as membership's norm_N does: zero
+        imaginary parts give float64, one nonzero gives complex128."""
+        R = rotor_exp(random_homogeneous(S13, 2, np.random.default_rng(82)) * 0.5)
+        M, Mc = versor_to_matrix(R), versor_to_matrix(R.to_complex())
+        assert Mc.dtype == np.float64
+        assert np.abs(Mc - M).max() <= 1e-12
+        assert isinstance(membership(R.to_complex()).norm_N, float)
+        tilted = R.to_complex() * (1 + 1e-3j)  # a scaled versor: same frame action, complex entries
+        assert versor_to_matrix(tilted, 1e-6).dtype == np.complex128
+
 
 def membership_reference(a, tol=1e-9):
     """membership through versor_to_matrix, which forms a^-1 and the frame images itself."""

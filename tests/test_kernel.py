@@ -318,6 +318,8 @@ MALFORMED = [
     ("short", np.ones(3)),
     ("long", np.ones(6)),
     ("matrix", np.ones((2, 4))),
+    ("cube", np.ones((2, 2, 4))),
+    ("short rows", np.ones((2, 3))),
     ("scalar", 1.0),
     ("ragged", [[1.0, 2.0], [3.0]]),
     ("text", ["a", "b", "c", "d"]),
