@@ -203,6 +203,8 @@ def _contract(a: np.ndarray, b: np.ndarray, index: np.ndarray, zero_slot: bool =
     """
     source = _signed(b, zero_slot)
     step = max(1, _GATHER_ENTRIES // max(1, b.size))
+    if step >= len(index):  # one block: every vector up to n = 7 and the small stacks
+        return a @ (source[index] if b.ndim == 1 else source.take(index, axis=-1))
     out = None
     for r in range(0, len(index), step):
         rows = index[r : r + step]

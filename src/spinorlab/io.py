@@ -118,13 +118,17 @@ def spinor_from_json(doc: dict) -> DiracSpinor:
         raise InvalidInput("spinor representation must be a string")
     if not isinstance(comps, (list, tuple)) or len(comps) != 4:
         raise InvalidInput("spinor components must be a list of 4 [re, im] pairs")
-    values = []
-    for pair in comps:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise InvalidInput("components are [re, im] pairs")
+    return DiracSpinor(rep, tuple(map(_component, comps)))
+
+
+def _component(pair) -> complex:
+    """One [re, im] pair of a spinor document; JSON floats go straight to the complex."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise InvalidInput("components are [re, im] pairs")
+    re, im = pair
+    if type(re) is not float or type(im) is not float:
         re, im = _floats(pair, "a spinor component")
-        values.append(complex(re, im))
-    return DiracSpinor(rep, tuple(values))
+    return complex(re, im)
 
 
 def bilinears_to_json(B: BilinearSet) -> dict:

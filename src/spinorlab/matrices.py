@@ -361,6 +361,9 @@ def rep_from_idempotent(sig: Signature, f1: Multivector, tol: float = 1e-9) -> I
     if f1.field != "real":
         raise InvalidInput("idempotent must be real")
     f1v = f1.to_vector()
+    if not np.isfinite(f1v).all():
+        mask = int(np.flatnonzero(~np.isfinite(f1v))[0])
+        raise InvalidInput(f"non-finite coefficient of f1 on blade {Multivector._blade_name(mask)}")
     left, right = blade_images(sig, f1v)  # row M: e_M <> f1 and f1 <> e_M
     # f1 <> f1 = sum_M f1[M] e_M <> f1 from the left images, held to approx_equal's rule:
     # |f1 f1 - f1|_inf <= tol max(1, |f1 f1|_inf, |f1|_inf), where a NaN difference fails

@@ -192,13 +192,22 @@ class TestIdempotentRep:
         """f1 f1 is read off the left blade images; the rule and message are approx_equal's."""
         sig = Signature(2, 0)
         one, e1 = Multivector.scalar(sig, 1.0), basis_blade(sig, [1])
-        for f1 in ((one + e1) * 0.6, Multivector(sig, {0: 0.5, 1: 0.5, 2: math.nan})):
-            with pytest.raises(InvalidInput, match="f1 is not idempotent"):
-                rep_from_idempotent(sig, f1)
+        with pytest.raises(InvalidInput, match="f1 is not idempotent"):
+            rep_from_idempotent(sig, (one + e1) * 0.6)
         nearly = (one + e1) * (0.5 + 1e-10)  # within tol = 1e-9 of idempotent
         assert rep_from_idempotent(sig, nearly).size == 2
         with pytest.raises(InvalidInput, match="f1 is not idempotent"):
             rep_from_idempotent(sig, nearly, tol=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_coefficients_up_front(self, bad):
+        # inf reached the idempotence product (RuntimeWarning in matmul), NaN read as
+        # "f1 is not idempotent"; the check now names the blade before any product
+        sig = Signature(2, 0)
+        with pytest.raises(InvalidInput, match="non-finite coefficient of f1 on blade e12"):
+            rep_from_idempotent(sig, Multivector(sig, {0: 0.5, 1: 0.5, 3: bad}))
+        with pytest.raises(InvalidInput, match="on blade e2"):
+            rep_from_idempotent(sig, Multivector(sig, {0: 0.5, 1: 0.5, 2: bad}))
 
     def test_rejects_non_primitive(self):
         sig = Signature(2, 0)

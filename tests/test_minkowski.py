@@ -348,9 +348,203 @@ class TestJson:
             ["weyl", [[1, 0]] * 4],
             {"rep": "weyl", "components": [["1.5", 0], [0, 0], [0, 0], [0, 0]]},
             {"rep": "weyl", "components": [[True, 0], [0, 0], [0, 0], [0, 0]]},
+            {"rep": "weyl", "components": [[1.0, 0.0], [0.0, float("nan")], [0, 0], [0, 0]]},
+            {"rep": "weyl", "components": [[float("inf"), 0.0], [0, 0], [0, 0], [0, 0]]},
+            {"rep": "dirac", "components": [[1.0, -float("inf")], [0, 0], [0, 0], [0, 0]]},
         ],
     )
     def test_malformed_documents_raise_invalid_input(self, doc):
         # these ended in a ValueError/TypeError traceback instead of exit 1
         with pytest.raises(InvalidInput):
             spinor_from_json(doc)
+
+    def test_decoded_spinor_equals_the_constructed_one(self):
+        doc = {"rep": "dirac", "components": [[1, 0], [0.5, -2], [0.0, 0], [-0.0, 3.25]]}
+        psi = spinor_from_json(doc)
+        expected = DiracSpinor("dirac", (1, 0.5 - 2j, 0, complex(-0.0, 3.25)))
+        assert psi == expected and hash(psi) == hash(expected)
+        assert all(type(c) is complex for c in psi.components)
+        assert spinor_to_json(psi) == spinor_to_json(expected)
+
+
+# -- the bilinear pass kept on a spinor ----------------------------------------------
+
+
+def counting_pass(monkeypatch):
+    from spinorlab import minkowski
+
+    calls = []
+    original = minkowski._bilinear_pass
+
+    def counted(rep, v):
+        calls.append(rep)
+        return original(rep, v)
+
+    monkeypatch.setattr(minkowski, "_bilinear_pass", counted)
+    return calls
+
+
+class TestBilinearPass:
+    def test_one_probe_contraction_per_spinor(self, monkeypatch):
+        calls = counting_pass(monkeypatch)
+        psi = random_spinor(np.random.default_rng(30))
+        B = bilinears(psi)
+        assert classify_lounesto(psi) == 1 and classify_lounesto(psi, 1e-3) == 1
+        assert bilinears(psi, 1e-6) is B and bilinears(psi) is B
+        assert calls == ["weyl"]
+        bilinears(DiracSpinor("weyl", psi.components))  # an equal spinor makes its own pass
+        assert len(calls) == 2
+
+    def test_clif_classify_makes_one_pass(self, monkeypatch, tmp_path, capsys):
+        from spinorlab.cli import main
+
+        calls = counting_pass(monkeypatch)
+        path = tmp_path / "psi.json"
+        path.write_text('{"rep": "dirac", "components": [[1, 0], [0, 0.5], [0.25, 0], [0, 0]]}')
+        assert main(["classify", "dirac", str(path)]) == 0
+        assert calls == ["dirac"] and '"class"' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rep", ["weyl", "dirac"])
+    def test_pass_has_the_bits_of_the_stacked_probe_product(self, rep):
+        # the pass multiplies the probes as one (64, 4) matrix, exact because each
+        # probe row has one nonzero entry
+        from spinorlab.matrices import DIRAC_GAMMAS, WEYL_GAMMAS
+        from spinorlab.minkowski import _covariants, _pass, _probes
+
+        probes = _probes(rep)
+        assert (np.count_nonzero(probes, axis=2) == 1).all()
+        G0 = {"weyl": WEYL_GAMMAS, "dirac": DIRAC_GAMMAS}[rep][0]
+        rng = np.random.default_rng(32)
+        for k in range(200):
+            comps = (rng.normal(size=4) + 1j * rng.normal(size=4)) * 10.0 ** rng.integers(-5, 6)
+            comps[k % 4] = (0.0, -0.0, 1e-310j, 3.0)[k % 4]
+            psi = DiracSpinor(rep, tuple(comps))
+            raw = (probes @ psi.vector) @ (psi.vector.conj() @ G0)
+            assert _covariants(_pass(psi).covariants).tobytes() == raw.real.tobytes()
+
+    def test_a_rejecting_tol_rejects_after_a_passing_one(self):
+        from spinorlab.minkowski import _pass
+
+        psi = random_spinor(np.random.default_rng(31))
+        B = bilinears(psi)
+        worst = _pass(psi).worst_imag
+        assert worst > 0.0  # rounding leaves an imaginary part for tol to reject
+        strict = 0.5 * worst / (1.0 + psi.norm_squared())
+        for _ in range(2):
+            with pytest.raises(InvalidInput, match="bilinears not real"):
+                bilinears(psi, strict)
+            assert bilinears(psi) is B
+        with pytest.raises(InvalidInput, match="tolerance"):
+            bilinears(psi, float("nan"))
+        assert bilinears(psi, 1e-9) is B
+
+    def test_cached_vector_is_read_only(self):
+        psi = DiracSpinor("weyl", (1, 2j, -0.5, 0))
+        made = [psi, change_representation(psi), reconstruct(bilinears(psi))[0],
+                spinor_from_json(spinor_to_json(psi))]
+        for spinor in made:
+            v = spinor.vector
+            assert v is spinor.vector and not v.flags.writeable
+            assert v.tolist() == list(spinor.components)
+            with pytest.raises(ValueError):
+                v[0] = 7.0
+        assert psi.components == (1 + 0j, 2j, -0.5 + 0j, 0j)
+
+    def test_equality_and_hash_read_the_fields_only(self):
+        comps = (1, 0.5 - 1j, 2j, -0.25)
+        fresh, used = DiracSpinor("weyl", comps), DiracSpinor("weyl", comps)
+        classify_lounesto(used)
+        fpk_residuals(bilinears(used))
+        assert used == fresh and hash(used) == hash(fresh) == hash(("weyl", fresh.components))
+        assert {used, fresh} == {fresh}
+        assert used != DiracSpinor("dirac", comps)
+        psi2, _ = reconstruct(bilinears(used))
+        assert psi2 == DiracSpinor("weyl", psi2.components) and hash(psi2) == hash(("weyl", psi2.components))
+        assert repr(used) == repr(fresh)
+
+
+# -- oversized spinors and tolerances -------------------------------------------------
+
+
+@pytest.mark.filterwarnings("error")
+class TestOversized:
+    @pytest.mark.parametrize("size", [1e77, 1e100, 1e200, 1e300])
+    def test_spinor_too_large_raises_invalid_input(self, size):
+        # 1e100 ended in an OverflowError from BilinearSet.scale, 1e200 in numpy
+        # overflow warnings before "non-finite bilinear"
+        psi = DiracSpinor("weyl", (size, 1j * size, 1.0, 0.0))
+        for fn in (bilinears, classify_lounesto):
+            with pytest.raises(InvalidInput, match="spinor too large"):
+                fn(psi)
+
+    def test_the_bound_is_where_the_residuals_could_overflow(self):
+        from spinorlab.minkowski import _NORM_SQUARED_MAX
+
+        assert 128.0 * _NORM_SQUARED_MAX**2 <= np.finfo(float).max
+        assert 1.1e153 < _NORM_SQUARED_MAX < 1.2e153
+
+    @pytest.mark.parametrize("rep", ["weyl", "dirac"])
+    def test_spinors_at_the_bound_run_the_whole_chain(self, rep):
+        # every direction gives at the bound what it gives at unit scale: the class,
+        # small FPK residuals and a reconstruction of the same norm, with no warning
+        from spinorlab.minkowski import _NORM_SQUARED_MAX
+
+        rng = np.random.default_rng(33)
+        units = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(20)]
+        a, b = 0.6 + 0.3j, -0.2 + 0.7j
+        units += [np.array([a, b, 0, 0]), np.array([0, 0, a, b]), np.array([1, 0, 1, 0]),
+                  np.array([-1j * b.conjugate(), 1j * a.conjugate(), a, b])]
+        for unit in units:
+            unit = unit / np.linalg.norm(unit)
+            small = DiracSpinor(rep, tuple(unit))
+            for size in (0.5, 0.999):
+                psi = DiracSpinor(rep, tuple(unit * np.sqrt(size * _NORM_SQUARED_MAX)))
+                B = bilinears(psi)
+                assert classify_lounesto(psi) == classify_lounesto(small)
+                assert fpk_residuals(B).max_residual() <= 1e-10
+                psi2, _ = reconstruct(B, rep=rep)
+                assert psi2.norm_squared() == pytest.approx(psi.norm_squared(), rel=1e-9)
+                assert change_representation(psi2).norm_squared() < np.inf
+            beyond = DiracSpinor(rep, tuple(unit * np.sqrt(1.001 * _NORM_SQUARED_MAX)))
+            with pytest.raises(InvalidInput, match="spinor too large"):
+                bilinears(beyond)
+
+    @pytest.mark.parametrize("sigma,J0", [(1e200, 0.0), (0.0, 1e200), (1.2e154, 1.2e154)])
+    def test_bilinear_scale_overflow_raises_invalid_input(self, sigma, J0):
+        B = BilinearSet(sigma, (J0, 0.0, 0.0, 0.0), (0.0,) * 6, (0.0,) * 4, 0.0)
+        for fn in (BilinearSet.scale, fpk_residuals):
+            with pytest.raises(InvalidInput, match="overflows"):
+                fn(B)
+
+    @pytest.mark.parametrize("size", ["1e100", "1e200"])
+    def test_clif_classify_exits_1_with_one_line(self, tmp_path, capsys, size):
+        from spinorlab.cli import main
+
+        path = tmp_path / "psi.json"
+        path.write_text(f'{{"rep": "weyl", "components": [[{size}, 0], [0, {size}], [1, 0], [0, 0]]}}')
+        assert main(["classify", "dirac", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("clif: spinor too large")
+
+
+BAD_TOLERANCES = [float("nan"), float("inf"), -float("inf"), 0.0, -1.0]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda psi, tol: bilinears(psi, tol),
+        lambda psi, tol: classify_lounesto(psi, tol),
+        lambda psi, tol: fpk_residuals(bilinears(psi), tol),
+        lambda psi, tol: reconstruct(bilinears(psi), tol=tol),
+        lambda psi, tol: fierz_aggregate(bilinears(psi), tol=tol),
+    ],
+    ids=["bilinears", "classify_lounesto", "fpk_residuals", "reconstruct", "fierz_aggregate"],
+)
+def test_tolerance_must_be_positive_and_finite(call, tol):
+    # NaN dropped checks (the auxiliary residuals, the vanishing and reality tests, the
+    # boomerang flag); -1 reported "bilinears not real (imag 0.00e+00)"
+    with pytest.raises(InvalidInput, match="tolerance must be a positive finite number"):
+        call(DiracSpinor("weyl", (1, 0, 1 + 1j, 0)), tol)
