@@ -30,13 +30,23 @@ for wedges only, where the blades overlap.
 Each signature has one product index and each n one wedge index (the wedge
 sign is metric-free), built on first use in one vectorised pass: intp (a
 narrower index makes numpy cast through a buffer on every gather), 8 * 4^n
-bytes each, 32 KiB at n = 6 and 512 KiB at n = 8, up to n = 10 (8 MiB).  One
-blocked contraction serves vectors and stacks alike.  It takes every dense
-product and wedge, DenseTable up to n = 10, stack_products, blade_images,
-which gathers the blade multiples e_M v and v e_M without forming a product,
-and right_product_matrix, which gathers the matrix of x -> x v.  A one-term
-operand gives an exact signed copy of the other operand's coefficients, as
-on the sparse loop, since every other row of the sum adds exact zeros.
+bytes each, 32 KiB at n = 6.  Up to n = 7 this one-block gather is the dense
+kernel; from SPLIT_MIN_N = 8 to n = 10 every dense product and wedge takes the
+graded split instead (Fontijne 2007): a mask is l | h << k with k = n // 2,
+e_r1 e_r2 = (-1)^(|h1| |l2|) (e_l1 e_l2) (e_h1 e_h2), and the product is one
+gather of va over the high factor, one gather of vb over the low factor and
+one matmul, 16 x 256 @ 256 x 16 at n = 8, with every sign folded into the two
+gathers but the fixed output sign (-1)^(|H| |L|).  Its indices are read off the
+factors' own signed indices and hold 8 (2^k + 2^(n-k)) 2^n bytes, 64 KiB at
+n = 8 where the one-block index holds 512 KiB; it sums in another order, so it
+agrees with the one-block gather to rounding, not bit for bit.  One kernel
+serves vectors and stacks alike: every dense product and wedge, DenseTable up
+to n = 10 and stack_products.  blade_images, which gathers the blade multiples
+e_M v and v e_M without forming a product, and right_product_matrix, which
+gathers the matrix of x -> x v, read the one-block product index at every n.
+A one-term operand gives an exact signed copy of the other operand's
+coefficients on either kernel, as on the sparse loop, since every other term
+of the sum is an exact zero.
 The routes agree to rounding on finite coefficients; the JSON decoder
 rejects non-finite ones.
 """
@@ -217,6 +227,92 @@ def _contract(a: np.ndarray, b: np.ndarray, index: np.ndarray, zero_slot: bool =
     return out
 
 
+SPLIT_MIN_N = 8  # from here on dense products and wedges take the graded split
+_SPLIT_ENTRIES = 1 << 16  # gathered entries of the left operand per block of stack rows
+
+
+@lru_cache(maxsize=16)
+def _split_index(sig: Signature, kind: str) -> tuple:
+    """(left, right, signs): the graded split of one signature's kind, n >= SPLIT_MIN_N.
+
+    A mask is r = l | h << k with k = n // 2; the low factor holds the first k
+    generators, the high factor the rest, each with its share of the q negative
+    ones, and e_r = e_l e_h.  Then e_r1 e_r2 = (-1)^(|h1| |l2|) (e_l1 e_l2)
+    (e_h1 e_h2), and for the output blade (H, L) = (h1 ^ h2, l1 ^ l2) the parity
+    |h1| |l2| is |h1| |l1| + |h2| |L| + |H| |L| mod 2.  So
+        out[H, L] = (-1)^(|H| |L|) sum_(h2, l1) left[H, (h2, l1)] right[(h2, l1), L],
+        left[H, (h2, l1)] = s_high(h1, h2) (-1)^(|h1| |l1|) a[h1, l1], h1 = H ^ h2,
+        right[(h2, l1), L] = s_low(l1, l1 ^ L) (-1)^(|h2| |L|) b[h2, l1 ^ L]:
+    one gather of a over the high factor, one of b over the low factor and one
+    matmul, which sums.  left (2^(n-k), 2^n) and right (2^n, 2^k) index
+    _signed(a) and _signed(b): the position of the coefficient, plus 2^n where
+    the sign is -1, or 2^(n+1), the zero slot, where a wedge's blades overlap in
+    the high or in the low factor (blades are disjoint exactly when both parts
+    are).  Both are read off the factors' own signed indices.  signs is
+    (-1)^(|H| |L|) by output blade.  Read-only, 8 (2^k + 2^(n-k)) 2^n bytes of
+    intp: 64 KiB at n = 8, against 512 KiB for the one-block index.
+    """
+    _check_table_limit(sig)
+    if kind == "wedge" and sig.q:
+        return _split_index(Signature(sig.n, 0), kind)
+    n, k = sig.n, sig.n // 2
+    dim, dl, dh = 1 << n, 1 << k, 1 << (n - k)
+    low_p = min(sig.p, k)
+    low = _signed_index(Signature(low_p, k - low_p), kind)  # [l1, L]
+    high = _signed_index(Signature(sig.p - low_p, n - k - (sig.p - low_p)), kind)  # [h1, H]
+    odd_l, odd_h = np.bitwise_count(np.arange(dl)) & 1, np.bitwise_count(np.arange(dh)) & 1
+    H, h2, l1 = np.ix_(np.arange(dh), np.arange(dh), np.arange(dl))
+    h1 = H ^ h2
+    slot = high[h1, H]  # e_h1 e_h2 = +-e_H, or the zero slot
+    flip = (slot >> (n - k) & 1) ^ odd_h[h1] & odd_l[l1]
+    left = np.where(slot == 2 * dh, 2 * dim, h1 * dl + l1 + dim * flip)
+    h2, l1, L = np.ix_(np.arange(dh), np.arange(dl), np.arange(dl))
+    slot = low[l1, L]  # e_l1 e_(l1^L) = +-e_L, or the zero slot
+    flip = (slot >> k & 1) ^ odd_h[h2] & odd_l[L]
+    right = np.where(slot == 2 * dl, 2 * dim, h2 * dl + (l1 ^ L) + dim * flip)
+    signs = 1.0 - 2.0 * (odd_h[:, None] & odd_l).ravel()
+    out = (left.reshape(dh, dim).astype(np.intp), right.reshape(dim, dl).astype(np.intp), signs)
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
+def _split_contract(a: np.ndarray, b: np.ndarray, split: tuple, zero_slot: bool) -> np.ndarray:
+    """_contract for n >= SPLIT_MIN_N through the graded split of _split_index.
+
+    Vectors and stacks as in _contract: for stacks A (m rows) and B (k rows) the
+    result is out[j, i, c], the product A[i] B[j].  B is gathered once, 2^k
+    entries per coefficient; A a block of rows at a time, as many as keep its
+    gather near _SPLIT_ENTRIES entries (at least one row, 2^(n-k) 2^n entries).
+    """
+    left, right, signs = split
+    x = _signed(b, zero_slot)
+    x = x[right] if b.ndim == 1 else x.take(right, axis=-1)  # [..j, (h2, l1), L]
+    source = _signed(a, zero_slot)
+    step = max(1, _SPLIT_ENTRIES // left.size)
+    if a.ndim == 1 or step >= len(a):
+        return _split_rows(source, left, x, b.shape[:-1]) * signs
+    out = np.empty(b.shape[:-1] + a.shape, np.result_type(a, x))
+    for i in range(0, len(a), step):
+        out[..., i : i + step, :] = _split_rows(source[i : i + step], left, x, b.shape[:-1])
+    out *= signs
+    return out
+
+
+def _split_rows(source: np.ndarray, left: np.ndarray, x: np.ndarray, lead: tuple) -> np.ndarray:
+    """The left gather and the matmul of _split_contract for rows of _signed(a)."""
+    y = source[left] if source.ndim == 1 else source.take(left, axis=-1)  # [..i, H, (h2, l1)]
+    return (y.reshape(-1, x.shape[-2]) @ x).reshape(lead + source.shape[:-1] + left.shape[-1:])
+
+
+def _dense_contract(sig: Signature, a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
+    """The dense kernel: the one-block gather of _contract up to n = SPLIT_MIN_N - 1,
+    the graded split from there to DENSE_TABLE_MAX_N."""
+    if sig.n < SPLIT_MIN_N:
+        return _contract(a, b, _signed_index(sig, kind), kind == "wedge")
+    return _split_contract(a, b, _split_index(sig, kind), kind == "wedge")
+
+
 def _coefficients(sig: Signature, v, ndim: int | None = 1) -> np.ndarray:
     """v as a float or complex array whose last axis runs over the 2^n blades:
     a vector (ndim 1), a (count, 2^n) stack (ndim 2) or either (ndim None);
@@ -267,10 +363,10 @@ def stack_products(sig: Signature, A, B) -> np.ndarray:
 
     A is (m, 2^n) and B is (k, 2^n), real or complex, indexed by blade mask; the
     result is the (m, k, 2^n) array out[i, j, c] = sum_a A[i, a] B[j, a ^ c] G[a, c],
-    one contraction through the signed product index, up to n = DENSE_TABLE_MAX_N.
+    one call of the dense kernel (_dense_contract), up to n = DENSE_TABLE_MAX_N.
     """
     A, B = _coefficients(sig, A, 2), _coefficients(sig, B, 2)
-    return _contract(A, B, _signed_index(sig, "product"), zero_slot=False).transpose(1, 0, 2)
+    return _dense_contract(sig, A, B, "product").transpose(1, 0, 2)
 
 
 def _number(value):
@@ -613,8 +709,8 @@ def _dense(a: Multivector, b: Multivector, multiple: int) -> bool:
 
 
 def _dense_apply(a: Multivector, b: Multivector, wedge: bool = False) -> Multivector:
-    index = _signed_index(a.sig, "wedge" if wedge else "product")
-    return Multivector._of_vector(a.sig, _contract(a.to_vector(), b.to_vector(), index, wedge))
+    kind = "wedge" if wedge else "product"
+    return Multivector._of_vector(a.sig, _dense_contract(a.sig, a.to_vector(), b.to_vector(), kind))
 
 
 def _sparse_product(a: Multivector, b: Multivector, wedge: bool = False) -> Multivector:
@@ -810,8 +906,8 @@ def approx_equal(a: Multivector, b: Multivector, tol: float = 1e-12) -> bool:
 
 
 class DenseTable:
-    """Dense products of one signature's coefficient vectors: a view on its signed
-    gather indices.  Each method takes two 1-D array-likes of 2^n numbers."""
+    """Dense products of one signature's coefficient vectors: a view on the dense
+    kernel.  Each method takes two 1-D array-likes of 2^n numbers."""
 
     def __init__(self, sig: Signature):
         _check_table_limit(sig)
@@ -819,14 +915,14 @@ class DenseTable:
         self.dim = 1 << sig.n
 
     def product(self, va, vb) -> np.ndarray:
-        """Geometric product of two coefficient vectors through the signed product index."""
+        """Geometric product of two coefficient vectors through the dense kernel."""
         va, vb = _coefficients(self.sig, va), _coefficients(self.sig, vb)
-        return _contract(va, vb, _signed_index(self.sig, "product"), zero_slot=False)
+        return _dense_contract(self.sig, va, vb, "product")
 
     def wedge(self, va, vb) -> np.ndarray:
-        """Exterior product of two coefficient vectors through the signed wedge index."""
+        """Exterior product of two coefficient vectors through the dense kernel."""
         va, vb = _coefficients(self.sig, va), _coefficients(self.sig, vb)
-        return _contract(va, vb, _signed_index(self.sig, "wedge"))
+        return _dense_contract(self.sig, va, vb, "wedge")
 
 
 @lru_cache(maxsize=8)

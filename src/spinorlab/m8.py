@@ -108,18 +108,22 @@ def fierz_identity_residual(x1, x2, x3, x4) -> float:
     (and of their agreement through quantization).
     """
     x1, x2, x3, x4 = map(_as_spinor, (x1, x2, x3, x4))
-    e12, e34, e14 = (CL8.pairings(a, b) / 16.0 for a, b in ((x1, x2), (x3, x4), (x1, x4)))
+    b32 = float(x3 @ x2)  # B(x3, x2)
+    # gamma_M x2 / 16 and gamma_M x4 / 16 on every blade M, one pass over the blade stack
+    g2, g4 = (CL8.blades.reshape(-1, DIM) @ np.stack((x2, x4), axis=1) / 16.0).reshape(-1, DIM, 2).T
+    e12, e34, e14 = x1 @ g2, x3 @ g4, x1 @ g4  # the polyforms of CL8.pairings(x, y) / 16
     prod_vec = dense_table(SIG80).product(e12, e34)
-    target = e14 * pairing(x3, x2)
+    target = e14 * b32
     norm = max(1.0, float(np.abs(prod_vec).max()), float(np.abs(target).max()))
     resid_form = float(np.abs(prod_vec - target).max()) / norm
 
     m12, m34, m14 = (rank_one_matrix(a, b) for a, b in ((x1, x2), (x3, x4), (x1, x4)))
-    mat_target = pairing(x3, x2) * m14
+    mat_target = b32 * m14
     mat_norm = max(1.0, float(np.abs(mat_target).max()))
-    resid_mat = float(np.abs(m12 @ m34 - mat_target).max()) / mat_norm
+    m1234 = m12 @ m34
+    resid_mat = float(np.abs(m1234 - mat_target).max()) / mat_norm
 
-    bridge = float(np.abs(quantize(Multivector.from_vector(SIG80, prod_vec)) - m12 @ m34).max()) / mat_norm
+    bridge = float(np.abs(quantize(Multivector.from_vector(SIG80, prod_vec)) - m1234).max()) / mat_norm
     return float(np.max([resid_form, resid_mat, bridge]))  # np.max keeps a NaN wherever it sits
 
 
@@ -195,17 +199,28 @@ class FluxData:
             raise InvalidInput("non-finite f, dDelta or kappa")
         clean = {}
         for idx, val in self.F.items():
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != 4 or any(not 1 <= i <= 8 for i in idx):
-                raise InvalidInput(f"bad 4-form index tuple {idx}")
-            if len(set(idx)) != 4 or list(idx) != sorted(idx):
-                raise InvalidInput(f"4-form indices must be strictly ascending: {idx}")
+            # one lookup accepts a key equal to an ascending tuple (ints, numpy ints, 1.0)
+            idx = _FOUR_FORM_KEYS.get(idx) or _four_form_key(idx)
             val = float(val)
             if not math.isfinite(val):
                 raise InvalidInput(f"non-finite 4-form coefficient at {idx}")
             if val != 0.0:
                 clean[idx] = val
         object.__setattr__(self, "F", clean)
+
+
+_FOUR_FORM_KEYS = {idx: idx for idx in _FOUR_FORMS}
+
+
+def _four_form_key(idx) -> tuple:
+    """A 4-form key that is not one of the 70 ascending tuples: read its entries
+    as ints, then reject it unless that gives one."""
+    idx = tuple(int(i) for i in idx)
+    if len(idx) != 4 or any(not 1 <= i <= 8 for i in idx):
+        raise InvalidInput(f"bad 4-form index tuple {idx}")
+    if len(set(idx)) != 4 or list(idx) != sorted(idx):
+        raise InvalidInput(f"4-form indices must be strictly ascending: {idx}")
+    return idx
 
 
 def flux_from_tensor(F4: np.ndarray, **kwargs) -> FluxData:

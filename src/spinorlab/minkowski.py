@@ -427,33 +427,49 @@ def fierz_aggregate(B: BilinearSet, rep: str = "weyl", tol: float = 1e-9,
                           bool(boomerang_resid <= tol * scale))
 
 
+def _finite(*values):
+    """The residuals below run with numpy's overflow warnings off; the covariants are
+    finite, so an infinity or a NaN among values means an intermediate overflowed."""
+    if not all(map(math.isfinite, values)):
+        raise InvalidInput("bilinears too large: the residual overflows")
+
+
 def aggregate_residuals(B: BilinearSet, rep: str = "weyl") -> tuple:
     """The five sandwich identities Z P Z = 4 <P> Z, P running over the probes
     defining sigma, J, S, K, omega; exact for spinor-derived data, singular or not.
+    InvalidInput when an intermediate overflows.
     """
-    _, Z = _aggregate(B, rep)
-    scale = max(1.0, float(np.abs(Z).max()) ** 2)
-    values = _covariants(B)
-    r = np.abs(Z @ _probes(rep) @ Z - 4.0 * values[:, None, None] * Z).max(axis=(1, 2)) / scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, Z = _aggregate(B, rep)
+        top = float(np.abs(Z).max())
+        scale = max(1.0, top * top)
+        values = _covariants(B)
+        r = np.abs(Z @ _probes(rep) @ Z - 4.0 * values[:, None, None] * Z).max(axis=(1, 2)) / scale
     r = r.tolist()
+    _finite(scale, *r)
     return r[0], max(r[1:5]), max(r[5:11]), max(r[11:15]), r[15]
 
 
 def factorization_residual(B: BilinearSet) -> float:
-    """Residual of Z = (Omega + J) <> (1 + i Omega^-1 K tau), Omega = sigma - omega tau."""
-    denom = B.sigma**2 + B.omega**2
+    """Residual of Z = (Omega + J) <> (1 + i Omega^-1 K tau), Omega = sigma - omega tau.
+    InvalidInput when an intermediate overflows."""
+    denom = B.sigma * B.sigma + B.omega * B.omega
     if denom == 0.0:
         raise InvalidInput("factorization requires sigma^2 + omega^2 > 0")
-    Jf, Kf = _form_rows(B)[:2]
-    z, _ = _aggregate(B, "weyl")
-    omega, omega_inv, tau = np.zeros((3, 16))
-    omega[[0, _TAU_MASK]] = B.sigma, -B.omega
-    omega_inv[[0, _TAU_MASK]] = B.sigma * (1.0 / denom), B.omega * (1.0 / denom)
-    tau[_TAU_MASK] = 1.0
-    right = _TABLE.product(1j * _TABLE.product(omega_inv, Kf), tau)
-    right[0] += 1.0
-    cand = _TABLE.product(omega + Jf, right)
-    return float(np.abs(cand - z).max()) / max(1.0, float(np.abs(z).max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        Jf, Kf = _form_rows(B)[:2]
+        z, _ = _aggregate(B, "weyl")
+        omega, omega_inv, tau = np.zeros((3, 16))
+        omega[[0, _TAU_MASK]] = B.sigma, -B.omega
+        omega_inv[[0, _TAU_MASK]] = B.sigma * (1.0 / denom), B.omega * (1.0 / denom)
+        tau[_TAU_MASK] = 1.0
+        right = _TABLE.product(1j * _TABLE.product(omega_inv, Kf), tau)
+        right[0] += 1.0
+        cand = _TABLE.product(omega + Jf, right)
+        top = float(np.abs(z).max())
+        residual = float(np.abs(cand - z).max()) / max(1.0, top)
+    _finite(denom, top, residual)
+    return residual
 
 
 # -- classification --------------------------------------------------------------

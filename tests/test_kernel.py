@@ -1,12 +1,15 @@
 """The signed gather indices and the two product routes built on them.
 
 The indices and the sparse loop's sign form are checked against the scalar
-bitmask rule, the contraction bit for bit against a test-local gather-and-sign
-reference, the table route against the sparse loop, that reference and an
-index-list wedge, and the signatures above the table limit against the
-contracted-wedge oracle.
+bitmask rule, the contraction bit for bit against test-local gather-and-sign
+references (the one-block gather up to n = 7, the graded split from n = 8 on,
+and the split against the one-block reference to 1e-13 up to n = 10), the
+table route against the sparse loop, those references and an index-list
+wedge, and the signatures above the table limit against the contracted-wedge
+oracle.
 """
 
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -18,6 +21,7 @@ from spinorlab import algebra
 
 from spinorlab.algebra import (
     DENSE_MAX_N,
+    SPLIT_MIN_N,
     DenseTable,
     Multivector,
     Signature,
@@ -27,7 +31,9 @@ from spinorlab.algebra import (
     _contract,
     _dense,
     _dense_apply,
+    _dense_contract,
     _signed_index,
+    _split_index,
     _sparse_product,
     approx_equal,
     blade_images,
@@ -292,14 +298,14 @@ def test_above_table_limit_products_are_sparse(p, q):
     sig = Signature(p, q)
     assert sig.n > DENSE_MAX_N
     rng = np.random.default_rng(24 + sig.n)
-    before = _signed_index.cache_info()
+    before = _signed_index.cache_info(), _split_index.cache_info()
     for count in (3, 6):
         a = random_terms(sig, rng, count, max_grade=4)
         b = random_terms(sig, rng, count, complex_coeffs=True, max_grade=4)
         assert not _dense(a, b, 1)
         assert approx_equal(geometric_product(a, b), geometric_product_contracted(a, b), 1e-12)
-    after = _signed_index.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    after = _signed_index.cache_info(), _split_index.cache_info()
+    assert [(c.hits, c.misses) for c in after] == [(c.hits, c.misses) for c in before]
 
 
 def test_contracted_oracle_reads_no_table():
@@ -386,16 +392,19 @@ def test_dense_table_limit():
 N8_SIGS = [Signature(p, 8 - p) for p in range(9)]
 
 
-def _random_stack(rng, count, kind, density=1.0):
-    stack = rng.normal(size=(count, 256))
+def _random_stack(rng, count, kind, density=1.0, dim=256):
+    stack = rng.normal(size=(count, dim))
     if kind == "complex":
-        stack = stack + 1j * rng.normal(size=(count, 256))
-    return stack * (rng.random((count, 256)) < density)
+        stack = stack + 1j * rng.normal(size=(count, dim))
+    return stack * (rng.random((count, dim)) < density)
 
 
+@lru_cache(maxsize=16)
 def _sign_table(sig, kind):
     """sign[r, c] of e_r e_{r^c} = sign e_c (wedge: 0 where r and r ^ c overlap), from
     the transposition count and the shared negative generators, one shift at a time."""
+    if kind == "wedge" and sig.q:
+        return _sign_table(Signature(sig.n, 0), kind)  # metric-free
     dim = 1 << sig.n
     r = np.arange(dim)
     xor = r[:, None] ^ r
@@ -405,6 +414,7 @@ def _sign_table(sig, kind):
     sign = 1 - 2 * (parity & 1).astype(np.int8)
     if kind == "wedge":
         sign[(r[:, None] & xor) != 0] = 0
+    sign.flags.writeable = False
     return sign
 
 
@@ -421,8 +431,36 @@ def _reference_contract(sig, a, b, kind="product"):
     return out
 
 
+def _split_reference(sig, a, b, kind="product"):
+    """The graded split from the factors' sign tables, in the kernel's order.
+
+    With r = l | h << k, k = n // 2, and (H, L) the output blade:
+    out[H, L] = (-1)^(|H| |L|) sum_(h2, l1) left[H, (h2, l1)] right[(h2, l1), L],
+    left = s_high(h1, h2) (-1)^(|h1| |l1|) a[h1, l1] with h1 = H ^ h2, and
+    right = s_low(l1, l1 ^ L) (-1)^(|h2| |L|) b[h2, l1 ^ L]; one matmul sums.
+    Unblocked, so it matches the kernel bit for bit on the stacks the kernel takes
+    in one block (up to 16 rows at n = 8)."""
+    n, k = sig.n, sig.n // 2
+    dl, dh = 1 << k, 1 << (n - k)
+    low_p = min(sig.p, k)
+    s_low = _sign_table(Signature(low_p, k - low_p), kind)
+    s_high = _sign_table(Signature(sig.p - low_p, n - k - (sig.p - low_p)), kind)
+    odd_l, odd_h = (np.bitwise_count(np.arange(d)).astype(int) & 1 for d in (dl, dh))
+    H, h2, l1 = np.ix_(np.arange(dh), np.arange(dh), np.arange(dl))
+    left = a[..., (H ^ h2) * dl + l1] * (s_high[H ^ h2, H] * (1 - 2 * (odd_h[H ^ h2] & odd_l[l1])))
+    h2, l1, L = np.ix_(np.arange(dh), np.arange(dl), np.arange(dl))
+    right = b[..., h2 * dl + (l1 ^ L)] * (s_low[l1, L] * (1 - 2 * (odd_h[h2] & odd_l[L])))
+    out = left.reshape(-1, dh * dl) @ right.reshape(b.shape[:-1] + (dh * dl, dl))
+    return out.reshape(b.shape[:-1] + a.shape[:-1] + (-1,)) * (1 - 2 * (odd_h[:, None] & odd_l)).ravel()
+
+
+def _kernel_reference(sig, a, b, kind="product"):
+    """The reference in the dense kernel's summation order for this n."""
+    return (_reference_contract if sig.n < SPLIT_MIN_N else _split_reference)(sig, a, b, kind)
+
+
 def _table_product(sig, a, b):
-    return _reference_contract(sig, np.asarray(a), np.asarray(b))
+    return _kernel_reference(sig, np.asarray(a), np.asarray(b))
 
 
 def _same_bits(x, y):
@@ -432,23 +470,81 @@ def _same_bits(x, y):
 @pytest.mark.parametrize("sig", [Signature(3, 0), Signature(2, 4), Signature(3, 3),
                                  Signature(4, 3), Signature(8, 0), Signature(4, 4)], ids=str)
 def test_contraction_is_bit_identical_to_the_reference(sig):
-    """Vectors and stacks, real, complex and mixed, product and wedge."""
+    """Vectors and stacks, real, complex and mixed, product and wedge: the one-block
+    gather up to n = 7, the graded split at n = 8, each against its own reference."""
     rng = np.random.default_rng(90 + 8 * sig.p + sig.q)
     dim = 1 << sig.n
     for kind_a, kind_b in (("real", "real"), ("complex", "complex"), ("real", "complex")):
         A = _random_stack(rng, 3, kind_a, 0.7)[:, :dim]
         B = _random_stack(rng, 2, kind_b, 0.7)[:, :dim]
         for kind in ("product", "wedge"):
-            index = _signed_index(sig, kind)
             for a, b in ((A[0], B[0]), (A, B)):
-                got, want = _contract(a, b, index), _reference_contract(sig, a, b, kind)
+                got, want = _dense_contract(sig, a, b, kind), _kernel_reference(sig, a, b, kind)
                 assert np.array_equal(got, want), (kind, kind_a, kind_b, a.ndim)
                 assert _same_bits(got, want), (kind, kind_a, kind_b, a.ndim)
+                if sig.n < SPLIT_MIN_N:
+                    assert _same_bits(_contract(a, b, _signed_index(sig, kind), kind == "wedge"), want)
     a, b = A[0].real, B[0].real
-    assert _same_bits(dense_table(sig).product(a, b), _reference_contract(sig, a, b))
-    assert _same_bits(dense_table(sig).wedge(a, b), _reference_contract(sig, a, b, "wedge"))
+    assert _same_bits(dense_table(sig).product(a, b), _kernel_reference(sig, a, b))
+    assert _same_bits(dense_table(sig).wedge(a, b), _kernel_reference(sig, a, b, "wedge"))
     R = right_product_matrix(sig, b)
     assert _same_bits(R, b[np.arange(dim)[:, None] ^ np.arange(dim)] * _sign_table(sig, "product"))
+
+
+SPLIT_SIGS = [Signature(p, n - p) for n in (8, 9, 10) for p in range(n + 1)]
+MIXES = (("real", "real"), ("complex", "complex"), ("real", "complex"), ("complex", "real"))
+
+
+def _assert_close(got, want, what):
+    assert got.shape == want.shape and got.dtype == want.dtype, what
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), what
+
+
+@pytest.mark.parametrize("sig", SPLIT_SIGS, ids=str)
+def test_split_matches_the_one_block_reference(sig):
+    """n = 8..10: vectors and (m, k) stacks, real, complex and mixed, product and
+    wedge, through the kernel, DenseTable and stack_products, within 1e-13
+    (relative) of the one-block gather-and-sign reference.  Each signature runs
+    real operands and one of the three other mixes, so each n runs all four.  A
+    5-row stack is taken in blocks of rows from n = 9 on."""
+    rng = np.random.default_rng(120 + 11 * sig.p + sig.q)
+    dim = 1 << sig.n
+    table = DenseTable(sig)
+    for kind_a, kind_b in (MIXES[0], MIXES[1 + sig.p % 3]):
+        A, B = _random_stack(rng, 5, kind_a, 0.8, dim), _random_stack(rng, 2, kind_b, 0.8, dim)
+        for kind, apply in (("product", table.product), ("wedge", table.wedge)):
+            what = (kind, kind_a, kind_b)
+            want = _reference_contract(sig, A, B, kind)  # want[j, i] = A[i] B[j]
+            _assert_close(_dense_contract(sig, A, B, kind), want, what)
+            _assert_close(_dense_contract(sig, A[4], B[1], kind), want[1, 4], what)
+            _assert_close(apply(A[4], B[1]), want[1, 4], what)
+            if kind == "product":
+                _assert_close(stack_products(sig, A, B), want.transpose(1, 0, 2), what)
+
+
+def test_split_reads_only_the_factor_indices(monkeypatch):
+    """From n = 8 on a dense product or wedge builds and reads no 4^n-entry index:
+    only the factors' indices of n // 2 and n - n // 2 generators."""
+    seen = []
+    signed_index = algebra._signed_index
+
+    def recorded(sig, kind):
+        seen.append(sig.n)
+        return signed_index(sig, kind)
+
+    monkeypatch.setattr(algebra, "_signed_index", recorded)
+    _split_index.cache_clear()
+    rng = np.random.default_rng(121)
+    for sig in (Signature(8, 0), Signature(3, 5), Signature(5, 4), Signature(5, 5)):
+        dim = 1 << sig.n
+        A = _random_stack(rng, 2, "real", 1.0, dim)
+        stack_products(sig, A, A)
+        DenseTable(sig).product(A[0], A[1])
+        DenseTable(sig).wedge(A[0], A[1])
+        if sig.n == 8:
+            a, b = (Multivector.from_vector(sig, v) for v in A)
+            geometric_product(a, b), wedge(a, b)
+    assert seen and max(seen) <= 5
 
 
 @pytest.mark.parametrize("sig", N8_SIGS, ids=str)

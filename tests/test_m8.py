@@ -284,6 +284,33 @@ class TestConstraints:
             FluxData(F={(1, 1, 3, 4): 1.0})
         with pytest.raises(InvalidInput):
             FluxData(f=(1.0,) * 4)
+        with pytest.raises(ValueError):  # not InvalidInput: int() of a text entry fails first
+            FluxData(F={("a", 2, 3, 4): 1.0})
+
+    @pytest.mark.parametrize("key,message", [
+        ((2, 1, 3, 4), r"strictly ascending: \(2, 1, 3, 4\)"),
+        ((1, 1, 3, 4), r"strictly ascending: \(1, 1, 3, 4\)"),
+        ((np.int64(4), 3, 2, 1), r"strictly ascending: \(4, 3, 2, 1\)"),
+        ((0, 1, 2, 3), r"bad 4-form index tuple \(0, 1, 2, 3\)"),
+        ((1, 2, 3, 9), r"bad 4-form index tuple \(1, 2, 3, 9\)"),
+        ((1, 2, 3), r"bad 4-form index tuple \(1, 2, 3\)"),
+        ((1, 2, 3, 4, 5), r"bad 4-form index tuple \(1, 2, 3, 4, 5\)"),
+    ])
+    def test_flux_key_rejections(self, key, message):
+        """Keys outside the 70 ascending tuples take the full check and its messages."""
+        with pytest.raises(InvalidInput, match=message):
+            FluxData(F={key: 1.0})
+        with pytest.raises(InvalidInput, match=message):
+            FluxData(F={(1, 2, 3, 5): 1.0, key: 1.0})
+
+    def test_flux_keys_canonicalise(self):
+        """numpy-int, float and other int-valued keys are stored under the Python-int tuple."""
+        for key in ((np.int64(1), 2, 3, 4), (1.0, 2.0, 3.0, 4.0), (np.int8(1), np.uint16(2), 3, np.float64(4)),
+                    (True, 2, 3, 4), "1234", (1.5, 2, 3, 4)):
+            flux = FluxData(F={key: 2, (5, 6, 7, 8): np.float32(0.5), (2, 3, 4, 5): 0.0})
+            assert flux.F == {(1, 2, 3, 4): 2.0, (5, 6, 7, 8): 0.5}, key
+            assert all(type(i) is int for idx in flux.F for i in idx), key
+            assert all(type(v) is float for v in flux.F.values()), key
 
     def test_tensor_antisymmetry_gate(self):
         from itertools import permutations

@@ -1,6 +1,8 @@
 """Bilinear covariants, FPK constraints, the Fierz aggregate, the six-class
 zero-pattern classification, and spinor reconstruction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -515,6 +517,19 @@ class TestOversized:
         for fn in (BilinearSet.scale, fpk_residuals):
             with pytest.raises(InvalidInput, match="overflows"):
                 fn(B)
+
+    @pytest.mark.parametrize("B", [
+        BilinearSet(1e200, (1e200, 0.0, 0.0, 0.0), (0.0,) * 6, (0.0,) * 4, 0.0),
+        BilinearSet(1e160, (0.0,) * 4, (0.0,) * 6, (0.0,) * 4, 0.0),  # sigma^2 alone overflows
+        BilinearSet(1e-150, (1.0, 0.0, 0.0, 0.0), (0.0,) * 6, (1e160, 0.0, 0.0, 0.0), 0.0),
+    ], ids=["sigma-J", "sigma", "K-over-sigma"])
+    def test_aggregate_and_factorization_overflow_raise_invalid_input(self, B):
+        # each raised a bare OverflowError from a Python ** 2, or a numpy overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (aggregate_residuals, factorization_residual):
+                with pytest.raises(InvalidInput, match="overflows"):
+                    fn(B)
 
     @pytest.mark.parametrize("size", ["1e100", "1e200"])
     def test_clif_classify_exits_1_with_one_line(self, tmp_path, capsys, size):

@@ -10,9 +10,8 @@ import pytest
 from spinorlab.algebra import (
     Multivector,
     Signature,
-    _contract,
     _dense,
-    _signed_index,
+    _dense_contract,
     geometric_product,
     wedge,
 )
@@ -63,8 +62,8 @@ def test_dense_route_outputs_match_dict_twins(sig, kind):
     b = dict_twin(sig, random_vector(rng, dim, "real", density=0.9), "real")
     assert _dense(a, b, 1) and _dense(b, a, 4)
     product, outer = geometric_product(a, b), wedge(b, a)
-    check_contract(product, _contract(a.to_vector(), b.to_vector(), _signed_index(sig, "product")))
-    check_contract(outer, _contract(b.to_vector(), a.to_vector(), _signed_index(sig, "wedge")))
+    check_contract(product, _dense_contract(sig, a.to_vector(), b.to_vector(), "product"))
+    check_contract(outer, _dense_contract(sig, b.to_vector(), a.to_vector(), "wedge"))
     assert product.field == outer.field == kind
 
 
