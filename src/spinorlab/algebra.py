@@ -148,6 +148,12 @@ def _grade(mask: int) -> int:
     return bin(mask).count("1")
 
 
+def _check_tol(tol: float):
+    """InvalidInput unless tol is a positive finite number: the check of every public tol."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInput("tolerance must be a positive finite number")
+
+
 def _check_table_limit(sig: Signature):
     if sig.n > DENSE_TABLE_MAX_N:
         raise InvalidInput(f"gather indices limited to n <= {DENSE_TABLE_MAX_N}")
@@ -307,7 +313,8 @@ def _split_rows(source: np.ndarray, left: np.ndarray, x: np.ndarray, lead: tuple
 
 def _dense_contract(sig: Signature, a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
     """The dense kernel: the one-block gather of _contract up to n = SPLIT_MIN_N - 1,
-    the graded split from there to DENSE_TABLE_MAX_N."""
+    the graded split from there to DENSE_TABLE_MAX_N.  Its one entry: other
+    modules multiply coefficient arrays through this call, never through an index."""
     if sig.n < SPLIT_MIN_N:
         return _contract(a, b, _signed_index(sig, kind), kind == "wedge")
     return _split_contract(a, b, _split_index(sig, kind), kind == "wedge")
@@ -894,8 +901,7 @@ def norms(a: Multivector) -> tuple:
 
 def approx_equal(a: Multivector, b: Multivector, tol: float = 1e-12) -> bool:
     """Coefficient-wise comparison, relative to max(1, |a|_inf, |b|_inf)."""
-    if tol <= 0:
-        raise InvalidInput("tolerance must be positive")
+    _check_tol(tol)
     a._require_same(b)
     scale = max(1.0, a.norm_inf(), b.norm_inf())
     masks = set(a.terms) | set(b.terms)

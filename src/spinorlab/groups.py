@@ -17,6 +17,7 @@ from .algebra import (
     DENSE_MAX_N,
     Multivector,
     Signature,
+    _check_tol,
     basis_blade,
     blade_images,
     geometric_product,
@@ -85,7 +86,9 @@ def _versor_pass(a: Multivector) -> _VersorPass:
 
 
 def _checked_pass(a: Multivector, tol: float) -> _VersorPass:
-    """a's versor pass with its inverse; NonInvertible unless rev(a) <> a is a nonzero scalar."""
+    """a's versor pass with its inverse; NonInvertible unless rev(a) <> a is a nonzero scalar.
+    Every tol of the versor functions is checked here (_check_tol)."""
+    _check_tol(tol)
     vp = _versor_pass(a)
     if abs(vp.norm) <= tol * vp.scale:
         raise NonInvertible("norm N(a) vanishes")
@@ -176,6 +179,7 @@ def rotor_exp(B: Multivector, tol: float = 1e-12) -> Multivector:
     Otherwise the terms are products of Multivectors, which beat the 2^n x 2^n
     matrix for few-term B at n = 7, 8.
     """
+    _check_tol(tol)
     if not B.is_zero() and B.grades() != {2}:
         raise InvalidInput("rotor_exp expects a bivector")
     sig = B.sig

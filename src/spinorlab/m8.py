@@ -8,13 +8,14 @@ constraint operator of the flux background.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
 
-from .algebra import Multivector, Signature, basis_blade, dense_table, permutation_sign
+from .algebra import Multivector, Signature, _check_tol, _dense_contract, permutation_sign
 from .errors import InvalidInput, UnsupportedSignature
 from .matrices import builtin_gammas
 from .structure import hodge
@@ -34,16 +35,18 @@ _FOUR_FORMS = list(combinations(range(1, 9), 4))
 _FLUX_MASKS = np.array(
     [1 << m for m in range(8)] + [sum(1 << (i - 1) for i in idx) for idx in _FOUR_FORMS] + [0xFF]
 )
+# Each parameter enters Q divided by its divisor: dDelta_m / 2, -F_idx / 12 and -kappa.
+_FLUX_DIVISORS = np.array([2.0] * 8 + [-12.0] * len(_FOUR_FORMS) + [-1.0])
 
 
 @lru_cache(maxsize=256)
 def gamma_blade(mask: int) -> np.ndarray:
     """Matrix of the (8,0) blade e^{mask}: ascending product of the gamma set (read-only)."""
-    return CL8.blades[mask]
+    return CL8.gamma_blade(mask)
 
 
 def chirality() -> np.ndarray:
-    return gamma_blade(0xFF)
+    return CL8.chirality
 
 
 def _as_spinor(x) -> np.ndarray:
@@ -60,14 +63,19 @@ def pairing(x, y) -> float:
     return float(_as_spinor(x) @ _as_spinor(y))
 
 
-def gen_bilinear(x, y, k: int) -> Multivector:
-    """Grade-k covariant: B(x, gamma_M y) on each ascending blade M of size k."""
+def _grade_covariant(x: np.ndarray, y: np.ndarray, k: int) -> Multivector:
+    """B(x, gamma_M y) on each ascending blade M of size k, for real or complex x, y."""
     if not 0 <= k <= 8:
         raise InvalidInput("grade must lie in 0..8")
     masks = _GRADE_MASKS[k]
-    coeffs = np.zeros(1 << 8)
-    coeffs[masks] = CL8.pairings(_as_spinor(x), _as_spinor(y), masks)
+    coeffs = np.zeros(1 << 8, np.result_type(x, y))
+    coeffs[masks] = CL8.pairings(x, y, masks)
     return Multivector.from_vector(SIG80, coeffs)
+
+
+def gen_bilinear(x, y, k: int) -> Multivector:
+    """Grade-k covariant: B(x, gamma_M y) on each ascending blade M of size k."""
+    return _grade_covariant(_as_spinor(x), _as_spinor(y), k)
 
 
 def fierz_polyform(x, y) -> Multivector:
@@ -112,7 +120,7 @@ def fierz_identity_residual(x1, x2, x3, x4) -> float:
     # gamma_M x2 / 16 and gamma_M x4 / 16 on every blade M, one pass over the blade stack
     g2, g4 = (CL8.blades.reshape(-1, DIM) @ np.stack((x2, x4), axis=1) / 16.0).reshape(-1, DIM, 2).T
     e12, e34, e14 = x1 @ g2, x3 @ g4, x1 @ g4  # the polyforms of CL8.pairings(x, y) / 16
-    prod_vec = dense_table(SIG80).product(e12, e34)
+    prod_vec = _dense_contract(SIG80, e12, e34, "product")
     target = e14 * b32
     norm = max(1.0, float(np.abs(prod_vec).max()), float(np.abs(target).max()))
     resid_form = float(np.abs(prod_vec - target).max()) / norm
@@ -132,13 +140,8 @@ def complexified_bilinears(xR, xI, k: int) -> Multivector:
     imaginary part B(xR,.xI) + B(xI,.xR); computed for every grade (the
     off-pattern grades come out zero for the symmetric pairing).
     """
-    if not 0 <= k <= 8:
-        raise InvalidInput("grade must lie in 0..8")
     z = _as_spinor(xR) + 1j * _as_spinor(xI)
-    masks = _GRADE_MASKS[k]
-    coeffs = np.zeros(1 << 8, dtype=np.complex128)
-    coeffs[masks] = CL8.pairings(z, z, masks)  # B(z, gamma z) = the real and imaginary parts above
-    return Multivector.from_vector(SIG80, coeffs)
+    return _grade_covariant(z, z, k)  # B(z, gamma z) = the real and imaginary parts above
 
 
 @dataclass(frozen=True)
@@ -162,8 +165,7 @@ def classify_m8(xR, xI, tol: float = 1e-10) -> M8Class:
     the all-zero pattern is the trivial class 0.  A grade is nonzero when its
     largest complexified covariant exceeds tol * (1 + |xR|^2 + |xI|^2).
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidInput("tolerance must be a positive finite number")
+    _check_tol(tol)
     xr, xi = _as_spinor(xR), _as_spinor(xI)
     scale = 1.0 + float(xr @ xr) + float(xi @ xi)
     z = xr + 1j * xi
@@ -198,9 +200,11 @@ class FluxData:
         if not all(math.isfinite(v) for v in (*self.f, *self.dDelta, self.kappa)):
             raise InvalidInput("non-finite f, dDelta or kappa")
         clean = {}
-        for idx, val in self.F.items():
+        for key, val in self.F.items():
             # one lookup accepts a key equal to an ascending tuple (ints, numpy ints, 1.0)
-            idx = _FOUR_FORM_KEYS.get(idx) or _four_form_key(idx)
+            idx = _FOUR_FORM_KEYS.get(key)
+            if idx is None:
+                raise _bad_four_form_key(key)
             val = float(val)
             if not math.isfinite(val):
                 raise InvalidInput(f"non-finite 4-form coefficient at {idx}")
@@ -212,15 +216,18 @@ class FluxData:
 _FOUR_FORM_KEYS = {idx: idx for idx in _FOUR_FORMS}
 
 
-def _four_form_key(idx) -> tuple:
-    """A 4-form key that is not one of the 70 ascending tuples: read its entries
-    as ints, then reject it unless that gives one."""
-    idx = tuple(int(i) for i in idx)
-    if len(idx) != 4 or any(not 1 <= i <= 8 for i in idx):
-        raise InvalidInput(f"bad 4-form index tuple {idx}")
-    if len(set(idx)) != 4 or list(idx) != sorted(idx):
-        raise InvalidInput(f"4-form indices must be strictly ascending: {idx}")
-    return idx
+def _bad_four_form_key(key) -> InvalidInput:
+    """The error for a 4-form key that is not one of the 70 ascending tuples; a
+    tuple of integers (operator.index) in 1..8 is named as not ascending."""
+    try:
+        entries = tuple(map(operator.index, key)) if isinstance(key, tuple) else None
+    except TypeError:
+        entries = None
+    if entries is None:
+        return InvalidInput(f"bad 4-form index tuple {key!r}")
+    if len(entries) != 4 or any(not 1 <= i <= 8 for i in entries):
+        return InvalidInput(f"bad 4-form index tuple {entries}")
+    return InvalidInput(f"4-form indices must be strictly ascending: {entries}")
 
 
 def flux_from_tensor(F4: np.ndarray, **kwargs) -> FluxData:
@@ -253,27 +260,29 @@ def build_constraint_operator(flux: FluxData) -> ConstraintOperator:
     - kappa gamma^{1..8}, with the Hodge dual taken in the blade algebra.
 
     The four-form sum runs over all index tuples, so each ascending coefficient
-    enters with weight 4!/288 = 1/12.
+    enters with weight 4!/288 = 1/12.  Q is one quantization of one coefficient
+    vector: dDelta / 2, -F / 12 and -kappa on their blades (_FLUX_DIVISORS, which
+    flux_with_kernel_spinor's response matrix reads too) and, when f is nonzero,
+    -1/6 times the Hodge dual of the 1-form f, one grade-7 blade per f_p.
     """
     if not isinstance(flux, FluxData):
         raise InvalidInput("expected FluxData")
     coeffs = np.zeros(1 << 8)
-    coeffs[_FLUX_MASKS] = (
-        [0.5 * d for d in flux.dDelta]
-        + [-flux.F.get(idx, 0.0) / 12.0 for idx in _FOUR_FORMS]
-        + [-flux.kappa]
-    )
-    Q = CL8.quantize(coeffs)
-    for p in range(8):
-        if flux.f[p]:
-            dual = hodge(basis_blade(SIG80, [p + 1]))
-            Q -= (flux.f[p] / 6.0) * quantize(dual)
-    return ConstraintOperator(Q, flux)
+    params = [*flux.dDelta, *(flux.F.get(idx, 0.0) for idx in _FOUR_FORMS), flux.kappa]
+    coeffs[_FLUX_MASKS] = np.divide(params, _FLUX_DIVISORS)
+    if any(flux.f):
+        f_form = np.zeros(1 << 8)
+        f_form[_FLUX_MASKS[:8]] = flux.f
+        coeffs -= hodge(Multivector.from_vector(SIG80, f_form)).to_vector() / 6.0
+    return ConstraintOperator(CL8.quantize(coeffs), flux)
 
 
 def kernel(Q: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal kernel basis (columns) by singular-value thresholding."""
+    _check_tol(tol)
     Q = np.asarray(Q, dtype=float)
+    if not np.isfinite(Q).all():
+        raise InvalidInput("non-finite entry in the constraint operator")
     u, s, vt = np.linalg.svd(Q)
     cutoff = tol * (s[0] if s.size and s[0] > 0 else 1.0)
     null_dim = int((s <= cutoff).sum())
@@ -289,13 +298,12 @@ def cgk_residual(Q: np.ndarray, x, y) -> float:
     built-in flux operators with f = 0 are symmetric, making one condition
     imply the other.
     """
-    table = dense_table(SIG80)
     q_form = CL8.dequantize(np.asarray(Q, dtype=float))
     x, y = _as_spinor(x), _as_spinor(y)
     exy, eyx = CL8.pairings(x, y) / 16.0, CL8.pairings(y, x) / 16.0
     scale = max(1.0, float(np.abs(exy).max()) * max(1.0, float(np.abs(q_form).max())))
-    left = float(np.abs(table.product(exy, q_form)).max())
-    right = float(np.abs(table.product(q_form, eyx)).max())
+    left = float(np.abs(_dense_contract(SIG80, exy, q_form, "product")).max())
+    right = float(np.abs(_dense_contract(SIG80, q_form, eyx, "product")).max())
     return (left + right) / scale
 
 
@@ -311,8 +319,8 @@ def flux_with_kernel_spinor(x, rng=None) -> FluxData:
         raise InvalidInput("seed spinor must be nonzero")
     if rng is None:
         rng = np.random.default_rng(0)
-    scale = np.array([0.5] * 8 + [-1.0 / 12.0] * len(_FOUR_FORMS) + [-1.0])
-    A = (CL8.blades[_FLUX_MASKS] @ xv).T * scale  # 16 x 79: column j is generator j applied to x
+    # 16 x 79: column j is generator j applied to x, over its divisor
+    A = (CL8.blades[_FLUX_MASKS] @ xv).T * (1.0 / _FLUX_DIVISORS)
     _, s, vt = np.linalg.svd(A)
     null = vt[len(s[s > 1e-10 * s[0]]):].T
     weights = null @ rng.normal(size=null.shape[1])

@@ -19,6 +19,7 @@ import numpy as np
 from .algebra import (
     Multivector,
     Signature,
+    _check_tol,
     blade_images,
     stack_products,
 )
@@ -280,6 +281,7 @@ class IdempotentRep:
     def _matrices_of(self, left: np.ndarray, tol: float) -> np.ndarray:
         """(k, size, size) matrices of k elements x_i from the (size, k, 2^n) stack
         left[a, i] = E_1a x_i: entry (a, b) is the lam with E_1a x_i E_b1 = lam f1."""
+        _check_tol(tol)
         size, k, dim = left.shape
         prods = stack_products(self.sig, left.reshape(-1, dim), self.cols).reshape(size, k, size, dim)
         lam, resid, bad = _multiples(prods.transpose(1, 0, 2, 3), self.f1, self.f1[0], tol)
@@ -356,6 +358,7 @@ def rep_from_idempotent(sig: Signature, f1: Multivector, tol: float = 1e-9) -> I
     Only the real-commutant case is supported: f1 <> Cl <> f1 must be
     one-dimensional over R.
     """
+    _check_tol(tol)
     if f1.sig != sig:
         raise InvalidInput("idempotent signature mismatch")
     if f1.field != "real":

@@ -21,15 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (
-    Multivector,
-    Signature,
-    _contract,
-    _signed_index,
-    blade_images,
-    dense_table,
-    permutation_sign,
-)
+from .algebra import Multivector, Signature, _check_tol, _dense_contract, blade_images, permutation_sign
 from .errors import InconsistentBilinears, InvalidInput, ReconstructionFailed
 from .matrices import RepBundle, builtin_gammas, similarity_matrix
 
@@ -68,10 +60,6 @@ _Z_WEIGHTS = {
     )[_Z_ORDER]
     for imaginary_s in (True, False)
 }
-# The blade route's product and wedge indices; the table serves factorization_residual.
-_PRODUCT_INDEX = _signed_index(SIG13, "product")
-_WEDGE_INDEX = _signed_index(SIG13, "wedge")
-_TABLE = dense_table(SIG13)
 # Every covariant is at most |psi|^2 (each gamma^0 P has operator norm <= 1).  The largest
 # value the chain forms from them is a blade-route residual, a difference of two 16-term
 # products of form entries up to 2 |psi|^2, so at most 128 |psi|^4: up to this |psi|^2
@@ -108,11 +96,6 @@ def _probes(rep: str) -> np.ndarray:
     )
     stack.flags.writeable = False
     return stack
-
-
-def _check_tol(tol: float):
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidInput("tolerance must be a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -364,9 +347,9 @@ def fpk_residuals(B: BilinearSet, tol: float = 1e-6) -> FpkReport:
     rows = _form_rows(B)
     # prod[j, i] = A[i] B[j] for A = (Sf, omega - sigma tau, -carrier) and B = (Jf, Kf, Sf),
     # the carrier being omega + sigma tau: x - (-carrier y) has the bits of x + carrier y
-    prod = _contract(rows[2:], rows[:3], _PRODUCT_INDEX, zero_slot=False)
+    prod = _dense_contract(SIG13, rows[2:], rows[:3], "product")
     residuals = np.empty((4, 16))
-    wedge = _contract(rows[0], rows[1], _WEDGE_INDEX)
+    wedge = _dense_contract(SIG13, rows[0], rows[1], "wedge")
     np.subtract(wedge, prod[2, 1], out=residuals[0])  # flag plane
     np.subtract(prod[:2, 0], prod[1::-1, 2], out=residuals[1:3])  # S J + carrier K, S K + carrier J
     residuals[3] = prod[2, 0]  # S S - (omega^2 - sigma^2) - 2 omega sigma tau
@@ -463,9 +446,10 @@ def factorization_residual(B: BilinearSet) -> float:
         omega[[0, _TAU_MASK]] = B.sigma, -B.omega
         omega_inv[[0, _TAU_MASK]] = B.sigma * (1.0 / denom), B.omega * (1.0 / denom)
         tau[_TAU_MASK] = 1.0
-        right = _TABLE.product(1j * _TABLE.product(omega_inv, Kf), tau)
+        right = _dense_contract(SIG13, omega_inv, Kf, "product")
+        right = _dense_contract(SIG13, 1j * right, tau, "product")
         right[0] += 1.0
-        cand = _TABLE.product(omega + Jf, right)
+        cand = _dense_contract(SIG13, omega + Jf, right, "product")
         top = float(np.abs(z).max())
         residual = float(np.abs(cand - z).max()) / max(1.0, top)
     _finite(denom, top, residual)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from .algebra import (
     Multivector,
     Signature,
+    _check_tol,
     _grade,
     basis_blade,
     geometric_product,
@@ -122,6 +123,7 @@ def parallelism_predicate(theta: Multivector, w: Multivector, kind: str, tol: fl
     Each condition is evaluated both directly and through its graded
     (anti)commutation characterisation; disagreement raises.
     """
+    _check_tol(tol)
     theta._require_same(w)
     _check_theta(theta)
     scale = max(1.0, w.norm_inf())

@@ -423,3 +423,59 @@ class TestApproxEqualAndJson:
         doc = {"p": 2, "q": 0, "field": "complex" if "im" in term else "real", "terms": [term]}
         with pytest.raises(InvalidInput):
             multivector_from_json(doc)
+
+
+
+def _tol_inputs():
+    """Valid inputs for every public function that takes a tol."""
+    from types import SimpleNamespace
+
+    from spinorlab import matrices, minkowski
+
+    S20 = Signature(2, 0)
+    f1 = (Multivector.scalar(S20, 1.0) + basis_blade(S20, [1])) * 0.5
+    psi = minkowski.DiracSpinor("weyl", (1.0, 0.5j, 0.25, -0.5))
+    return SimpleNamespace(
+        e1=basis_blade(S30, [1]), e2=basis_blade(S30, [2]),
+        B=linear_combine([(0.5, basis_blade(S30, [1, 2])), (0.2, basis_blade(S30, [1, 3])),
+                          (0.1, basis_blade(S30, [2, 3]))]),
+        S20=S20, f1=f1, idem=matrices.rep_from_idempotent(S20, f1),
+        psi=psi, bil=minkowski.bilinears(psi), x=np.arange(1.0, 17.0),
+    )
+
+
+def _tol_calls():
+    from spinorlab import groups, m8, matrices, minkowski, structure
+
+    return {
+        "approx_equal": lambda v, tol: approx_equal(v.e1, v.e2, tol),
+        "rotor_exp": lambda v, tol: groups.rotor_exp(v.B, tol),
+        "versor_inverse": lambda v, tol: groups.versor_inverse(v.B, tol),
+        "versor_to_matrix": lambda v, tol: groups.versor_to_matrix(groups.rotor_exp(v.B), tol),
+        "membership": lambda v, tol: groups.membership(groups.rotor_exp(v.B), tol),
+        "reflect": lambda v, tol: groups.reflect(v.e1, v.e2, tol),
+        "twisted_adjoint": lambda v, tol: groups.twisted_adjoint(v.e1, v.e2, tol),
+        "apply_versor": lambda v, tol: groups.apply_versor(v.e1, v.e2, tol),
+        "parallelism_predicate": lambda v, tol: structure.parallelism_predicate(v.e1, v.e2, "parallel", tol),
+        "rep_from_idempotent": lambda v, tol: matrices.rep_from_idempotent(v.S20, v.f1, tol),
+        "IdempotentRep.matrix_of": lambda v, tol: v.idem.matrix_of(basis_blade(v.S20, [2]), tol),
+        "IdempotentRep.gamma_matrices": lambda v, tol: v.idem.gamma_matrices(tol),
+        "m8.kernel": lambda v, tol: m8.kernel(np.eye(16), tol),
+        "classify_m8": lambda v, tol: m8.classify_m8(v.x, v.x[::-1], tol),
+        "bilinears": lambda v, tol: minkowski.bilinears(v.psi, tol),
+        "classify_lounesto": lambda v, tol: minkowski.classify_lounesto(v.psi, tol),
+        "fpk_residuals": lambda v, tol: minkowski.fpk_residuals(v.bil, tol),
+        "fierz_aggregate": lambda v, tol: minkowski.fierz_aggregate(v.bil, tol=tol),
+        "reconstruct": lambda v, tol: minkowski.reconstruct(v.bil, tol=tol),
+    }
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", list(_tol_calls()))
+def test_every_public_tol_must_be_positive_finite(name, tol):
+    """One check (algebra._check_tol) guards every public tol: each entry point
+    passes at a valid tol and raises InvalidInput for tol 0, -1, nan and inf."""
+    call, inputs = _tol_calls()[name], _tol_inputs()
+    call(inputs, 1e-9)
+    with pytest.raises(InvalidInput, match="positive finite"):
+        call(inputs, tol)

@@ -645,3 +645,40 @@ def test_n8_product_support_rule(sig):
     assert set(out.terms) == set(_sparse_product(x, y).terms)
     stacked = stack_products(sig, np.stack([a, b]), np.stack([b, a]))
     assert not np.any(stacked[..., grades % 2 == 1])
+
+
+_KERNEL_PRIVATE = {"_contract", "_split_contract", "_signed_index", "_split_index", "_signed",
+                   "DenseTable", "dense_table"}
+
+
+def test_library_modules_reach_the_kernel_through_one_entry():
+    """Outside algebra, no module of the package names a sign index, a contraction
+    or DenseTable: every coefficient product goes through _dense_contract."""
+    import ast
+    from pathlib import Path
+
+    package = Path(algebra.__file__).parent
+    modules = sorted(path for path in package.glob("*.py") if path.name != "algebra.py")
+    assert len(modules) >= 8
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in _KERNEL_PRIVATE:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found, found
+
+
+def test_constraint_operator_is_one_quantization(monkeypatch):
+    """build_constraint_operator quantizes one coefficient vector, whatever flux terms are set."""
+    from spinorlab import m8
+
+    calls = []
+    quantize = RepBundle.quantize
+    monkeypatch.setattr(RepBundle, "quantize", lambda self, coeffs: calls.append(1) or quantize(self, coeffs))
+    flux = m8.FluxData(f=tuple(np.arange(1.0, 9.0)), F={(1, 2, 3, 4): 0.7, (2, 4, 6, 8): -0.3},
+                       dDelta=tuple(np.linspace(-1.0, 1.0, 8)), kappa=0.4)
+    Q = m8.build_constraint_operator(flux).Q
+    assert len(calls) == 1
+    assert Q.shape == (16, 16) and np.abs(Q).max() > 0.0
