@@ -54,6 +54,7 @@ rejects non-finite ones.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -75,10 +76,16 @@ class Signature:
     q: int
 
     def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise InvalidInput(f"negative signature ({self.p},{self.q})")
-        if self.p + self.q > MAX_GENERATORS:
-            raise InvalidInput(f"p+q = {self.p + self.q} exceeds {MAX_GENERATORS} generators")
+        try:
+            p, q = operator.index(self.p), operator.index(self.q)  # plain ints, numpy ints and bools
+        except TypeError:
+            raise InvalidInput(f"signature entries must be integers, got ({self.p!r},{self.q!r})") from None
+        if p < 0 or q < 0:
+            raise InvalidInput(f"negative signature ({p},{q})")
+        if p + q > MAX_GENERATORS:
+            raise InvalidInput(f"p+q = {p + q} exceeds {MAX_GENERATORS} generators")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @property
     def n(self) -> int:
@@ -573,24 +580,19 @@ class Multivector:
     def grade(self, k: int) -> "Multivector":
         return Multivector(self.sig, {m: c for m, c in self.terms.items() if _grade(m) == k}, self.field)
 
+    def _negated_where(self, residues: tuple) -> "Multivector":
+        """The terms negated where the grade mod 4 is one of residues: the involutions' one rule."""
+        terms = {m: (-c if (_grade(m) & 3) in residues else c) for m, c in self.terms.items()}
+        return Multivector(self.sig, terms, self.field)
+
     def grade_involution(self) -> "Multivector":
-        return Multivector(
-            self.sig, {m: (-c if _grade(m) & 1 else c) for m, c in self.terms.items()}, self.field
-        )
+        return self._negated_where((1, 3))
 
     def reverse(self) -> "Multivector":
-        out = {}
-        for m, c in self.terms.items():
-            k = _grade(m)
-            out[m] = -c if (k * (k - 1) // 2) & 1 else c
-        return Multivector(self.sig, out, self.field)
+        return self._negated_where((2, 3))  # k (k - 1) / 2 odd
 
     def conjugate(self) -> "Multivector":
-        out = {}
-        for m, c in self.terms.items():
-            k = _grade(m)
-            out[m] = -c if (k * (k + 1) // 2) & 1 else c
-        return Multivector(self.sig, out, self.field)
+        return self._negated_where((1, 2))  # k (k + 1) / 2 odd
 
     # -- display -------------------------------------------------------------
 
@@ -635,11 +637,12 @@ def _grade_flips(n: int, residues: tuple) -> np.ndarray:
 class _VectorMultivector(Multivector):
     """A Multivector built from its coefficient vector; `terms` is built on first read.
 
-    Multivector's instances read `terms` straight from its slot.  Here the
-    three involutions and a finite real scale of a real element, the maps
-    between a versor's products, read the vector and return vector-built
-    results; each negates or multiplies the same floats in the same way as the
-    term-by-term method, so the results are the same bit for bit.
+    Multivector's instances read `terms` straight from its slot.  Here
+    _negated_where, the rule of the three involutions, and a finite real scale
+    of a real element, the maps between a versor's products, read the vector
+    and return vector-built results; each negates or multiplies the same floats
+    in the same way as the term-by-term method, so the results are the same bit
+    for bit.
     """
 
     __slots__ = ()
@@ -647,15 +650,6 @@ class _VectorMultivector(Multivector):
     def _negated_where(self, residues: tuple) -> "Multivector":
         v = self._vector
         return Multivector._of_vector(self.sig, np.where(_grade_flips(self.sig.n, residues), -v, v))
-
-    def grade_involution(self) -> "Multivector":
-        return self._negated_where((1, 3))
-
-    def reverse(self) -> "Multivector":
-        return self._negated_where((2, 3))  # k (k - 1) / 2 odd
-
-    def conjugate(self) -> "Multivector":
-        return self._negated_where((1, 2))  # k (k + 1) / 2 odd
 
     def __mul__(self, other):
         scale = None if isinstance(other, Multivector) else _number(other)

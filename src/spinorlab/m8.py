@@ -118,7 +118,7 @@ def fierz_identity_residual(x1, x2, x3, x4) -> float:
     x1, x2, x3, x4 = map(_as_spinor, (x1, x2, x3, x4))
     b32 = float(x3 @ x2)  # B(x3, x2)
     # gamma_M x2 / 16 and gamma_M x4 / 16 on every blade M, one pass over the blade stack
-    g2, g4 = (CL8.blades.reshape(-1, DIM) @ np.stack((x2, x4), axis=1) / 16.0).reshape(-1, DIM, 2).T
+    g2, g4 = (CL8.act(np.stack((x2, x4), axis=1)) / 16.0).T
     e12, e34, e14 = x1 @ g2, x3 @ g4, x1 @ g4  # the polyforms of CL8.pairings(x, y) / 16
     prod_vec = _dense_contract(SIG80, e12, e34, "product")
     target = e14 * b32
@@ -320,7 +320,7 @@ def flux_with_kernel_spinor(x, rng=None) -> FluxData:
     if rng is None:
         rng = np.random.default_rng(0)
     # 16 x 79: column j is generator j applied to x, over its divisor
-    A = (CL8.blades[_FLUX_MASKS] @ xv).T * (1.0 / _FLUX_DIVISORS)
+    A = CL8.act(xv, _FLUX_MASKS).T * (1.0 / _FLUX_DIVISORS)
     _, s, vt = np.linalg.svd(A)
     null = vt[len(s[s > 1e-10 * s[0]]):].T
     weights = null @ rng.normal(size=null.shape[1])

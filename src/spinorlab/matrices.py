@@ -132,11 +132,19 @@ class RepBundle:
     def chirality(self) -> np.ndarray:
         return self.gamma_blade((1 << self.sig.n) - 1)
 
-    def pairings(self, x: np.ndarray, y: np.ndarray, masks=slice(None)) -> np.ndarray:
-        """x^T blades[M] y for each listed mask, as (blades[masks] @ y) @ x (no conjugation)."""
+    def act(self, y: np.ndarray, masks=slice(None)) -> np.ndarray:
+        """blades[M] y for each listed mask: (masks, dim) for one spinor y, through
+        _matvec, or (masks, dim, k) for the k spinors that are the columns of a
+        (dim, k) block y, through one matrix product that reads the stack once."""
         blades = self.blades[masks]
-        gy = _matvec(blades.reshape(-1, self.dim), y).reshape(len(blades), self.dim)
-        return gy @ x
+        rows = blades.reshape(-1, self.dim)
+        if y.ndim == 1:
+            return _matvec(rows, y).reshape(len(blades), self.dim)
+        return (rows @ y).reshape(len(blades), self.dim, y.shape[1])
+
+    def pairings(self, x: np.ndarray, y: np.ndarray, masks=slice(None)) -> np.ndarray:
+        """x^T blades[M] y for each listed mask, as act(y, masks) @ x (no conjugation)."""
+        return self.act(y, masks) @ x
 
     def quantize(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_M coeffs[..., M] blades[M] for coefficients indexed by blade mask on the last axis."""

@@ -14,7 +14,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from operator import mul
 from typing import NamedTuple
@@ -85,13 +85,13 @@ def _gammas(rep: str) -> list:
 @lru_cache(maxsize=None)
 def _probes(rep: str) -> np.ndarray:
     """(16, 4, 4) probes P whose expectations psibar P psi are sigma, J_mu, S_mu_nu, K_mu, omega."""
-    blades = _bundle(rep).blades
-    tau = blades[0b1111]
+    blade = _bundle(rep).gamma_blade
+    tau = blade(_TAU_MASK)
     stack = np.stack(
-        [blades[0]]
-        + [blades[1 << m] for m in range(4)]
-        + [0.5j * blades[(1 << m) | (1 << n)] for m, n in S_PAIRS]
-        + [1j * tau @ blades[1 << m] for m in range(4)]
+        [blade(0)]
+        + [blade(1 << m) for m in range(4)]
+        + [0.5j * blade((1 << m) | (1 << n)) for m, n in S_PAIRS]
+        + [1j * tau @ blade(1 << m) for m in range(4)]
         + [tau]
     )
     stack.flags.writeable = False
@@ -103,8 +103,9 @@ class DiracSpinor:
     """Four complex components in the "weyl" or "dirac" representation.
 
     Equality and hashing read the two fields.  Besides them an instance keeps,
-    each built on first use, its read-only component vector (_vector) and its
-    bilinear pass (_bilinears, see bilinears).
+    each a cached property built on first use, its read-only component vector
+    (vector) and its one bilinear pass (_bilinears), which every call of
+    bilinears reads and holds to its own tol.
     """
 
     rep: str
@@ -120,15 +121,16 @@ class DiracSpinor:
             raise InvalidInput("non-finite spinor component")
         object.__setattr__(self, "components", comps)
 
-    @property
+    @cached_property
     def vector(self) -> np.ndarray:
         """The components as a read-only complex array."""
-        v = self.__dict__.get("_vector")
-        if v is None:
-            v = np.array(self.components, dtype=complex)
-            v.flags.writeable = False
-            self.__dict__["_vector"] = v
+        v = np.array(self.components, dtype=complex)
+        v.flags.writeable = False
         return v
+
+    @cached_property
+    def _bilinears(self) -> "_BilinearPass":
+        return _bilinear_pass(self.rep, self.vector)
 
     def norm_squared(self) -> float:
         return float(np.vdot(self.vector, self.vector).real)
@@ -169,19 +171,16 @@ class BilinearSet:
             raise InvalidInput("bilinears too large: the sum of their squares overflows")
         return total
 
-
-def _covariants(B: BilinearSet) -> np.ndarray:
-    """B's covariants in probe order (sigma, J, S, K, omega) as a read-only array kept on B."""
-    values = B.__dict__.get("_array")
-    if values is None:
-        values = np.array([B.sigma, *B.J, *B.S, *B.K, B.omega])
+    @cached_property
+    def _array(self) -> np.ndarray:
+        """The covariants in probe order (sigma, J, S, K, omega) as a read-only array."""
+        values = np.array([self.sigma, *self.J, *self.S, *self.K, self.omega])
         values.flags.writeable = False
-        B.__dict__["_array"] = values
-    return values
+        return values
 
 
 class _BilinearPass(NamedTuple):
-    """What no tolerance decides about one spinor's covariants, kept in psi._bilinears."""
+    """What no tolerance decides about one spinor's covariants, kept as psi._bilinears."""
 
     covariants: BilinearSet  # the real parts of the 16 probe expectations
     worst_imag: float  # their largest imaginary part
@@ -205,13 +204,6 @@ def _bilinear_pass(rep: str, v: np.ndarray) -> _BilinearPass:
     return _BilinearPass(B, max(map(abs, raw.imag.tolist())), 1.0 + norm)
 
 
-def _pass(psi: DiracSpinor) -> _BilinearPass:
-    bp = psi.__dict__.get("_bilinears")
-    if bp is None:
-        bp = psi.__dict__["_bilinears"] = _bilinear_pass(psi.rep, psi.vector)
-    return bp
-
-
 def bilinears(psi: DiracSpinor, tol: float = 1e-9) -> BilinearSet:
     """The 16 covariants of Eq-style sesquilinear forms, in psi's own representation.
 
@@ -219,7 +211,7 @@ def bilinears(psi: DiracSpinor, tol: float = 1e-9) -> BilinearSet:
     that rejects psi rejects it whatever earlier calls passed.
     """
     _check_tol(tol)
-    bp = _pass(psi)
+    bp = psi._bilinears
     if bp.worst_imag > tol * bp.scale:
         raise InvalidInput(f"bilinears not real (imag {bp.worst_imag:.2e}); broken gamma set?")
     return bp.covariants
@@ -281,7 +273,7 @@ def _form_rows(B: BilinearSet) -> np.ndarray:
     aggregate, J^mu, K^mu, 2 S^{mu nu}, then omega - sigma tau and the negated
     carrier -(omega + sigma tau)."""
     rows = np.zeros(80)
-    rows[_ROW_SLOTS] = _ROW_WEIGHTS * _covariants(B)[_ROW_SOURCES]
+    rows[_ROW_SLOTS] = _ROW_WEIGHTS * B._array[_ROW_SOURCES]
     return rows.reshape(5, 16)
 
 
@@ -389,7 +381,7 @@ def _aggregate(B: BilinearSet, rep: str, imaginary_s: bool = True) -> tuple:
 
     The terms sit on distinct blades, so z is one weighted gather of the covariants.
     """
-    z = _Z_WEIGHTS[bool(imaginary_s)] * _covariants(B)[_Z_SOURCES]
+    z = _Z_WEIGHTS[bool(imaginary_s)] * B._array[_Z_SOURCES]
     return z, _bundle(rep).quantize(z)
 
 
@@ -426,7 +418,7 @@ def aggregate_residuals(B: BilinearSet, rep: str = "weyl") -> tuple:
         _, Z = _aggregate(B, rep)
         top = float(np.abs(Z).max())
         scale = max(1.0, top * top)
-        values = _covariants(B)
+        values = B._array
         r = np.abs(Z @ _probes(rep) @ Z - 4.0 * values[:, None, None] * Z).max(axis=(1, 2)) / scale
     r = r.tolist()
     _finite(scale, *r)
@@ -467,7 +459,7 @@ def classify_lounesto(psi: DiracSpinor, tol: float = 1e-9):
     """
     _check_tol(tol)
     B = bilinears(psi)
-    threshold = tol * _pass(psi).scale
+    threshold = tol * psi._bilinears.scale
     nz = lambda block: max(abs(x) for x in block) > threshold
     if not nz(B.J):
         return None

@@ -1,12 +1,14 @@
 """Classification lookups: real/complex Clifford algebras, spinor spaces, and
-real even subalgebras, all keyed on p - q mod 8 (or the parity of n).
+real even subalgebras.  One periodicity table, keyed on p - q mod 8 (or the
+parity of n for the complexification), gives the algebras; the spinor spaces
+and even subalgebras are read off its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import MAX_GENERATORS
+from .algebra import Signature
 from .errors import InvalidInput
 
 RING_DIM = {"R": 1, "C": 2, "H": 4}
@@ -42,11 +44,6 @@ class SpinorSpaceDescriptor:
         return space if self.summands == 1 else f"{space}+{space}"
 
 
-def _check_range(p: int, q: int):
-    if p < 0 or q < 0 or p + q > MAX_GENERATORS:
-        raise InvalidInput(f"signature ({p},{q}) out of range")
-
-
 # Rows keyed on p-q mod 8: (ring, exponent offset from floor(n/2), summands).
 _REAL_ROWS = {
     0: ("R", 0, 1),
@@ -62,87 +59,43 @@ _REAL_ROWS = {
 
 def classify_real(p: int, q: int) -> AlgebraDescriptor:
     """Real Clifford algebra Cl(p,q) as a matrix algebra over R, C or H."""
-    _check_range(p, q)
-    ring, offset, summands = _REAL_ROWS[(p - q) % 8]
-    exponent = (p + q) // 2 + offset
-    if exponent < 0:
-        raise InvalidInput(f"degenerate table row for ({p},{q})")
-    return AlgebraDescriptor(ring, 2**exponent, summands)
+    sig = Signature(p, q)  # the integer and range checks
+    ring, offset, summands = _REAL_ROWS[(sig.p - sig.q) % 8]
+    return AlgebraDescriptor(ring, 2 ** (sig.n // 2 + offset), summands)
 
 
 def classify_complex(n: int) -> AlgebraDescriptor:
     """Complexified Clifford algebra of an n-dimensional space."""
-    if n < 0 or n > MAX_GENERATORS:
-        raise InvalidInput(f"dimension {n} out of range")
-    k = n // 2
-    return AlgebraDescriptor("C", 2**k, 1 if n % 2 == 0 else 2)
+    n = Signature(n, 0).n  # the integer and range checks
+    return AlgebraDescriptor("C", 2 ** (n // 2), 1 if n % 2 == 0 else 2)
 
 
-def _algebraic_real(p: int, q: int) -> SpinorSpaceDescriptor:
-    ring, offset, summands = _REAL_ROWS[(p - q) % 8]
-    exponent = (p + q) // 2 + offset
-    if exponent < 0:
-        raise InvalidInput(f"degenerate spinor row for ({p},{q})")
-    return SpinorSpaceDescriptor(ring, 2**exponent, summands)
-
-
-# Classical rows: (field, exponent offset from floor((n-1)/2), summands).
-_CLASSICAL_ROWS = {
-    0: ("R", 0, 2),
-    1: ("R", 0, 1),
-    2: ("C", 0, 1),
-    3: ("H", -1, 1),
-    4: ("H", -1, 2),
-    5: ("H", -1, 1),
-    6: ("C", 0, 1),
-    7: ("R", 0, 1),
-}
-
-
-def _classical_real(p: int, q: int) -> SpinorSpaceDescriptor:
-    field, offset, summands = _CLASSICAL_ROWS[(p - q) % 8]
-    exponent = (p + q - 1) // 2 + offset
-    if p + q == 0 or exponent < 0:
-        raise InvalidInput(f"degenerate classical row for ({p},{q})")
-    return SpinorSpaceDescriptor(field, 2**exponent, summands)
-
-
-def _even_subalgebra(p: int, q: int) -> AlgebraDescriptor:
-    # Even-subalgebra row of (p,q) equals the full-algebra row of Cl(p,q-1) or Cl(q,p-1).
-    if q >= 1:
-        return classify_real(p, q - 1)
-    if p >= 1:
-        return classify_real(q, p - 1)
-    raise InvalidInput("even subalgebra undefined for (0,0)")
+def _even_subalgebra(sig: Signature, field: str) -> AlgebraDescriptor:
+    # Cl(p,q)'s even subalgebra is Cl(p,q-1), or Cl(q,p-1); complexified, that of n - 1 generators.
+    if sig.n == 0:
+        raise InvalidInput("even subalgebra undefined for (0,0)")
+    if field == "complex":
+        return classify_complex(sig.n - 1)
+    return classify_real(sig.p, sig.q - 1) if sig.q else classify_real(sig.q, sig.p - 1)
 
 
 def spinor_space(p: int, q: int, kind: str, field: str = "real"):
     """Spinor-space (or even-subalgebra) descriptor for Cl(p,q).
 
     kind: 'algebraic', 'classical' or 'even_subalgebra'; field selects the real
-    tables or their complexified counterparts.
+    tables or their complexified counterparts.  The algebraic spinors of
+    Mat(d, K) are K^d, read off the algebra's row; the classical spinors are
+    the algebraic spinors of the even subalgebra.
     """
-    _check_range(p, q)
+    sig = Signature(p, q)
     if field not in ("real", "complex"):
         raise InvalidInput(f"unknown field {field!r}")
-    n = p + q
-    if kind == "algebraic":
-        if field == "real":
-            return _algebraic_real(p, q)
-        k = n // 2
-        return SpinorSpaceDescriptor("C", 2**k, 1 if n % 2 == 0 else 2)
-    if kind == "classical":
-        if field == "real":
-            return _classical_real(p, q)
-        if n == 0:
-            raise InvalidInput("degenerate classical row for (0,0)")
-        if n % 2 == 0:
-            return SpinorSpaceDescriptor("C", 2 ** (n // 2 - 1), 2)
-        return SpinorSpaceDescriptor("C", 2 ** (n // 2), 1)
     if kind == "even_subalgebra":
-        if field == "complex":
-            if n < 1:
-                raise InvalidInput("even subalgebra undefined for n = 0")
-            return classify_complex(n - 1)
-        return _even_subalgebra(p, q)
-    raise InvalidInput(f"unknown spinor-space kind {kind!r}")
+        return _even_subalgebra(sig, field)
+    if kind == "algebraic":
+        row = classify_real(sig.p, sig.q) if field == "real" else classify_complex(sig.n)
+    elif kind == "classical":
+        row = _even_subalgebra(sig, field)
+    else:
+        raise InvalidInput(f"unknown spinor-space kind {kind!r}")
+    return SpinorSpaceDescriptor(row.division_ring, row.matrix_dim, row.summands)

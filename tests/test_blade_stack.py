@@ -3,11 +3,14 @@ every stacked blade against the ascending generator product, the bilinears and
 the Fierz polyforms against per-blade matrix chains, and the quantize /
 dequantize pairs as inverses of each other."""
 
+import ast
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinorlab
 from spinorlab.algebra import Multivector, Signature, geometric_product, permutation_sign
 from spinorlab.errors import InvalidInput
 from spinorlab.m8 import (
@@ -122,6 +125,40 @@ def test_stacked_calls_repeat_the_single_calls(rep, kind):
     assert np.array_equal(back, [rep.dequantize(m) for m in matrices])
     assert np.abs(rep.dequantize(T) - coeffs).max() <= 1e-14 * np.abs(coeffs).max()
     assert np.abs(rep.quantize(back) - matrices).max() <= 1e-14 * np.abs(matrices).max()
+
+
+@pytest.mark.parametrize("rep", STACKED_BUNDLES)
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_act_on_a_block_repeats_the_single_calls(rep, kind):
+    """act on a (dim, k) block equals the k single-spinor calls bit for bit, and
+    pairings(x, y, masks) is act(y, masks) @ x."""
+    rng = np.random.default_rng(53)
+    block, x = rng.normal(size=(rep.dim, 3)), rng.normal(size=rep.dim)
+    if kind == "complex":
+        block, x = block + 1j * rng.normal(size=block.shape), x + 1j * rng.normal(size=x.shape)
+    top = (1 << rep.sig.n) - 1
+    for masks in (slice(None), np.array([top, 0, 3, 1])):
+        out = rep.act(block, masks)
+        for j in range(block.shape[1]):
+            single = rep.act(block[:, j], masks)
+            assert out[..., j].shape == single.shape
+            assert np.array_equal(out[..., j], single), (masks, j)
+            assert np.array_equal(rep.pairings(x, block[:, j], masks), single @ x)
+    assert np.array_equal(rep.act(block[:, 0])[top], rep.gamma_blade(top) @ block[:, 0])
+
+
+def test_only_matrices_reads_the_blade_stack():
+    """Outside matrices no module reads a bundle's `blades`: the stack's storage is
+    RepBundle's alone, and every other module calls act, pairings, quantize,
+    dequantize or gamma_blade."""
+    package = Path(spinorlab.__file__).parent
+    modules = sorted(path for path in package.glob("*.py") if path.name != "matrices.py")
+    assert len(modules) >= 8
+    found = [f"{path.name}:{node.lineno}"
+             for path in modules
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "blades"]
+    assert not found, found
 
 
 class TestContractions:

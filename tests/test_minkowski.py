@@ -411,7 +411,7 @@ class TestBilinearPass:
         # the pass multiplies the probes as one (64, 4) matrix, exact because each
         # probe row has one nonzero entry
         from spinorlab.matrices import DIRAC_GAMMAS, WEYL_GAMMAS
-        from spinorlab.minkowski import _covariants, _pass, _probes
+        from spinorlab.minkowski import _probes
 
         probes = _probes(rep)
         assert (np.count_nonzero(probes, axis=2) == 1).all()
@@ -422,14 +422,12 @@ class TestBilinearPass:
             comps[k % 4] = (0.0, -0.0, 1e-310j, 3.0)[k % 4]
             psi = DiracSpinor(rep, tuple(comps))
             raw = (probes @ psi.vector) @ (psi.vector.conj() @ G0)
-            assert _covariants(_pass(psi).covariants).tobytes() == raw.real.tobytes()
+            assert psi._bilinears.covariants._array.tobytes() == raw.real.tobytes()
 
     def test_a_rejecting_tol_rejects_after_a_passing_one(self):
-        from spinorlab.minkowski import _pass
-
         psi = random_spinor(np.random.default_rng(31))
         B = bilinears(psi)
-        worst = _pass(psi).worst_imag
+        worst = psi._bilinears.worst_imag
         assert worst > 0.0  # rounding leaves an imaginary part for tol to reject
         strict = 0.5 * worst / (1.0 + psi.norm_squared())
         for _ in range(2):

@@ -1,10 +1,13 @@
 """Classification tables: algebras, spinor spaces, even subalgebras."""
 
+import numpy as np
 import pytest
 
+from spinorlab.algebra import Signature
 from spinorlab.errors import InvalidInput
 from spinorlab.tables import (
     AlgebraDescriptor,
+    SpinorSpaceDescriptor,
     classify_complex,
     classify_real,
     spinor_space,
@@ -106,3 +109,64 @@ class TestSpinorSpaces:
             spinor_space(0, 0, "classical")
         with pytest.raises(InvalidInput):
             spinor_space(1, 0, "unknown_kind")
+
+
+# Periodicity tables of the spinor spaces written out here, independent of the
+# algebra rows the code reads them from.  Keyed on p - q mod 8: (field, exponent
+# offset, summands), the exponent counted from n // 2 for algebraic spinors and
+# from (n - 1) // 2 for classical ones.
+ALGEBRAIC_ROWS = {0: ("R", 0, 1), 1: ("R", 0, 2), 2: ("R", 0, 1), 3: ("C", 0, 1),
+                  4: ("H", -1, 1), 5: ("H", -1, 2), 6: ("H", -1, 1), 7: ("C", 0, 1)}
+CLASSICAL_ROWS = {0: ("R", 0, 2), 1: ("R", 0, 1), 2: ("C", 0, 1), 3: ("H", -1, 1),
+                  4: ("H", -1, 2), 5: ("H", -1, 1), 6: ("C", 0, 1), 7: ("R", 0, 1)}
+
+
+def expected_spinor_space(p, q, kind, field):
+    n = p + q
+    if field == "complex":
+        if kind == "algebraic":
+            return ("C", 2 ** (n // 2), 1 if n % 2 == 0 else 2)
+        return ("C", 2 ** (n // 2 - 1), 2) if n % 2 == 0 else ("C", 2 ** (n // 2), 1)
+    rows, base = (ALGEBRAIC_ROWS, n // 2) if kind == "algebraic" else (CLASSICAL_ROWS, (n - 1) // 2)
+    ring, offset, summands = rows[(p - q) % 8]
+    return (ring, 2 ** (base + offset), summands)
+
+
+@pytest.mark.parametrize("kind", ["algebraic", "classical"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_spinor_spaces_match_the_periodicity_tables(kind, field):
+    for p in range(17):
+        for q in range(17 - p):
+            if kind == "classical" and p + q == 0:
+                continue
+            got = spinor_space(p, q, kind, field)
+            assert type(got) is SpinorSpaceDescriptor
+            assert (got.field, got.dim, got.summands) == expected_spinor_space(p, q, kind, field), (p, q)
+
+
+NOT_INTEGERS = [2.0, 1.5, "2", None, 2 + 0j, np.float64(3.0)]
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+def test_non_integer_signatures_raise_invalid_input(bad):
+    for p, q in ((bad, 1), (1, bad)):
+        with pytest.raises(InvalidInput, match="integers"):
+            Signature(p, q)
+        with pytest.raises(InvalidInput, match="integers"):
+            classify_real(p, q)
+        for kind in ("algebraic", "classical", "even_subalgebra"):
+            for field in ("real", "complex"):
+                with pytest.raises(InvalidInput, match="integers"):
+                    spinor_space(p, q, kind, field)
+    with pytest.raises(InvalidInput, match="integers"):
+        classify_complex(bad)
+
+
+def test_integer_types_read_as_plain_ints():
+    for p, q in ((np.int64(3), np.int8(1)), (True, 2), (np.uint16(2), False)):
+        sig = Signature(p, q)
+        assert (type(sig.p), type(sig.q)) == (int, int)
+        assert sig == Signature(int(p), int(q)) and str(sig) == f"Cl({int(p)},{int(q)})"
+        assert repr(classify_real(p, q)) == repr(classify_real(int(p), int(q)))
+        assert repr(spinor_space(p, q, "classical")) == repr(spinor_space(int(p), int(q), "classical"))
+    assert repr(classify_complex(np.int64(5))) == repr(classify_complex(5))
