@@ -18,7 +18,7 @@ the tests compare against, and the contracted-wedge oracle uses it alone.
 Products take one of two routes, chosen from n and the operands' term counts
 only.  The sparse route is one loop over term pairs in Python, with H(a)
 computed once per term of a, and serves every n <= MAX_GENERATORS.  The table
-route serves n <= DENSE_MAX_N = 8 when |a|*|b| >= k * 2^n (k = 1 for the
+route serves n <= DENSE_TABLE_MAX_N = 10 when |a|*|b| >= k * 2^n (k = 1 for the
 geometric product, 4 for the wedge, whose sparse loop skips overlapping pairs
 cheaply).
 
@@ -64,8 +64,15 @@ import numpy as np
 from .errors import InvalidInput, SignatureMismatch
 
 MAX_GENERATORS = 16
-DENSE_MAX_N = 8  # the table route serves Multivector products only up to here
 DENSE_TABLE_MAX_N = 10  # largest signature with gather indices (DenseTable, stacks)
+
+
+def _integer(value, what: str) -> int:
+    """value as a plain int by operator.index (numpy ints and bools pass), else InvalidInput."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{what} must be integers, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -76,10 +83,7 @@ class Signature:
     q: int
 
     def __post_init__(self):
-        try:
-            p, q = operator.index(self.p), operator.index(self.q)  # plain ints, numpy ints and bools
-        except TypeError:
-            raise InvalidInput(f"signature entries must be integers, got ({self.p!r},{self.q!r})") from None
+        p, q = _integer(self.p, "signature entries"), _integer(self.q, "signature entries")
         if p < 0 or q < 0:
             raise InvalidInput(f"negative signature ({p},{q})")
         if p + q > MAX_GENERATORS:
@@ -413,6 +417,8 @@ class Multivector:
         limit = 1 << sig.n
         clean = {}
         for mask, coeff in terms.items():
+            if type(mask) is not int:
+                mask = _integer(mask, "blade masks")
             if not 0 <= mask < limit:
                 raise InvalidInput(f"blade mask {mask:#x} outside Cl({sig.p},{sig.q})")
             c = complex(coeff) if field == "complex" else float(coeff)
@@ -678,7 +684,7 @@ class _VectorMultivector(Multivector):
 
 def basis_blade(sig: Signature, indices: Iterable[int]) -> Multivector:
     """Unit blade e^{i1...ik} from strictly ascending generator indices; [] gives 1."""
-    idx = list(indices)
+    idx = [_integer(i, "generator indices") for i in indices]
     if any(not 1 <= i <= sig.n for i in idx):
         raise InvalidInput(f"indices {idx} outside 1..{sig.n}")
     if any(b <= a for a, b in zip(idx, idx[1:])):
@@ -704,9 +710,9 @@ def linear_combine(pairs: Iterable[tuple]) -> Multivector:
 
 
 def _dense(a: Multivector, b: Multivector, multiple: int) -> bool:
-    """Route rule: the table route when n <= DENSE_MAX_N and |a|*|b| >= multiple * 2^n."""
+    """Route rule: the table route when n <= DENSE_TABLE_MAX_N and |a|*|b| >= multiple * 2^n."""
     n = a.sig.n
-    return n <= DENSE_MAX_N and a._term_count() * b._term_count() >= multiple << n
+    return n <= DENSE_TABLE_MAX_N and a._term_count() * b._term_count() >= multiple << n
 
 
 def _dense_apply(a: Multivector, b: Multivector, wedge: bool = False) -> Multivector:

@@ -14,7 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import (
-    DENSE_MAX_N,
     Multivector,
     Signature,
     _check_tol,
@@ -27,6 +26,10 @@ from .algebra import (
 from .errors import ConvergenceError, InvalidInput, NonInvertible
 
 _SERIES_CAP = 64
+# Up to this n the versor and rotor routes run on coefficient vectors, above it on terms.
+# Not the kernel's 10: by the product rule the frame images ran 1.5-2x slower for 2- to
+# 8-term versors at n = 4..8, and rotor_exp's k 2^k rule was fitted at n <= 8 only.
+_VECTOR_MAX_N = 8
 
 
 class _FrameMasks(NamedTuple):
@@ -44,11 +47,11 @@ def _frame_masks(n: int) -> _FrameMasks:
 
 
 def _scalar_and_rest(x: Multivector) -> tuple:
-    """(<x>_0, |x - <x>_0|_inf): from the coefficient vector up to DENSE_MAX_N
+    """(<x>_0, |x - <x>_0|_inf): from the coefficient vector up to _VECTOR_MAX_N
     generators, where the rest is NaN when the scalar part is not finite, as
     the difference of terms is; from the terms above, where a vector of 2^n
     coefficients would outweigh a sparse product."""
-    if x.sig.n > DENSE_MAX_N:
+    if x.sig.n > _VECTOR_MAX_N:
         s = x.scalar_part()
         return s, (x - s).norm_inf()
     v = x.to_vector()
@@ -171,7 +174,7 @@ def rotor_exp(B: Multivector, tol: float = 1e-12) -> Multivector:
     complex B, cosh(m) + B sinh(m) / m with m the complex root of lam); otherwise
     a truncated series runs until the term drops below tol, capped at 64 terms.
     The terms stay in the span of products of B's k blades, at most 2^k of
-    them, so a sparse step takes at most k 2^k term pairs.  Up to DENSE_MAX_N
+    them, so a sparse step takes at most k 2^k term pairs.  Up to _VECTOR_MAX_N
     generators, and when k 2^k reaches a quarter of 2^n, the series runs on a
     coefficient vector in B's dtype: right multiplication by B is the fixed
     matrix right_product_matrix(B), so each term is one vector-matrix product
@@ -198,7 +201,7 @@ def rotor_exp(B: Multivector, tol: float = 1e-12) -> Multivector:
         m = math.sqrt(lam)
         return one * math.cosh(m) + B * (math.sinh(m) / m)
     k = len(B.terms)
-    if sig.n > DENSE_MAX_N or k << (k + 2) < 1 << sig.n:
+    if sig.n > _VECTOR_MAX_N or k << (k + 2) < 1 << sig.n:
         one = Multivector.scalar(sig, 1.0)
         return _series(one, lambda term: geometric_product(term, B), Multivector.norm_inf, tol)
     return Multivector._of_vector(sig, _vector_series(right_product_matrix(sig, B.to_vector()), tol))
@@ -223,13 +226,13 @@ def versor_to_matrix(a: Multivector, tol: float = 1e-10) -> np.ndarray:
 def _images(a: Multivector, inv: Multivector) -> np.ndarray:
     """Coefficient rows of hat(a) <> e^j <> inv, j = 1..n.
 
-    Up to DENSE_MAX_N generators the n images are one stack_products call on
+    Up to _VECTOR_MAX_N generators the n images are one stack_products call on
     the gathered hat(a) <> e^j and inv; above it they are sparse products,
     one image at a time.
     """
     sig = a.sig
     hat = a.grade_involution()
-    if sig.n <= DENSE_MAX_N:
+    if sig.n <= _VECTOR_MAX_N:
         _, hat_frame = blade_images(sig, hat.to_vector(), _frame_masks(sig.n).frame)
         return stack_products(sig, hat_frame, inv.to_vector()[None])[:, 0]
     return np.array(

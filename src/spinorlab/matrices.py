@@ -136,11 +136,10 @@ class RepBundle:
         """blades[M] y for each listed mask: (masks, dim) for one spinor y, through
         _matvec, or (masks, dim, k) for the k spinors that are the columns of a
         (dim, k) block y, through one matrix product that reads the stack once."""
-        blades = self.blades[masks]
-        rows = blades.reshape(-1, self.dim)
+        rows = self.blades[masks].reshape(-1, self.dim)
         if y.ndim == 1:
-            return _matvec(rows, y).reshape(len(blades), self.dim)
-        return (rows @ y).reshape(len(blades), self.dim, y.shape[1])
+            return _matvec(rows, y).reshape(-1, self.dim)
+        return (rows @ y).reshape(-1, self.dim, y.shape[1])
 
     def pairings(self, x: np.ndarray, y: np.ndarray, masks=slice(None)) -> np.ndarray:
         """x^T blades[M] y for each listed mask, as act(y, masks) @ x (no conjugation)."""
@@ -172,13 +171,14 @@ def _matvec(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     """rows @ v over the last axis of v, one matrix-vector product per leading index.
 
     A stack thus repeats the arithmetic of single vectors bit for bit, which
-    one matrix-matrix product would not.  A real `rows` meets a complex v as
+    one matrix-matrix product would not: matmul runs the same inner loop for a
+    vector v as for the column v[:, None].  A real `rows` meets a complex v as
     two real columns, never as a complex copy of rows.
     """
     if v.dtype.kind == "c" and rows.dtype.kind != "c":
         pairs = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64).reshape(v.shape + (2,))
         return (rows @ pairs).view(np.complex128)[..., 0]
-    return (rows @ v[..., None])[..., 0]
+    return rows @ v if v.ndim == 1 else (rows @ v[..., None])[..., 0]
 
 
 def builtin_gammas(name: str) -> RepBundle:

@@ -44,29 +44,31 @@ _ROW_SLOTS = np.concatenate(
 )
 _ROW_SOURCES = np.concatenate((_J, _K, _S, [_OMEGA, _OMEGA, _SIGMA, _SIGMA]))
 _ROW_WEIGHTS = np.concatenate((_RAISE, _RAISE, _S_WEIGHTS, [1.0, -1.0, -1.0, -1.0]))
-# The aggregate sigma + J + (i) 2S + i K tau - omega tau: its terms cover the 16 blades
-# once each, so blade M holds covariant _Z_SOURCES[M] times _Z_WEIGHTS[imaginary_s][M].
-# K tau is K gathered onto the blades M ^ tau with the signs of right multiplication by
-# tau, (v tau)[c] = v[c ^ tau] G[c ^ tau, c].
-_TAU_SIGNS = blade_images(SIG13, np.ones(16), [_TAU_MASK])[1][0]
-_Z_ORDER = np.argsort(
-    np.concatenate(([0], _VECTORS, _VECTORS ^ _TAU_MASK, _BIVECTORS, [_TAU_MASK]))
-)
-_Z_SOURCES = np.concatenate(([_SIGMA], _J, _K, _S, [_OMEGA]))[_Z_ORDER]
-_K_TAU_WEIGHTS = 1j * np.multiply(_RAISE, _TAU_SIGNS[_VECTORS ^ _TAU_MASK])
-_Z_WEIGHTS = {
-    imaginary_s: np.concatenate(
-        ([1.0], _RAISE, _K_TAU_WEIGHTS, _S_WEIGHTS * (1j if imaginary_s else 1.0), [-1.0])
-    )[_Z_ORDER]
-    for imaginary_s in (True, False)
-}
+_BUNDLES = {name: builtin_gammas(name) for name in ("weyl", "dirac")}
+# Covariant A, in probe order, is psibar P_A psi for the probe P_A = w_A e_M, M =
+# _PROBE_MASKS[A]: the 16 blades once each, w = 1 for sigma, J and omega, i/2 for S,
+# and i s_mu for K_mu = i psibar tau gamma_mu psi, where e_tau e_mu = s_mu e_(tau ^ mu).
+_PROBE_MASKS = np.concatenate(([0], _VECTORS, _BIVECTORS, _VECTORS ^ _TAU_MASK, [_TAU_MASK]))
+_K_SIGNS = blade_images(SIG13, np.ones(16), [_TAU_MASK])[0][0][_VECTORS ^ _TAU_MASK]
+_PROBE_WEIGHTS = np.concatenate((np.ones(5), 1j * np.full(6, 0.5), 1j * _K_SIGNS, [1.0]))
+_Z_SOURCES = np.argsort(_PROBE_MASKS)  # the covariant whose probe sits on blade M
+_WEIGHTS_BY_MASK = np.repeat(_PROBE_WEIGHTS[_Z_SOURCES, None], 4, axis=1)  # one per entry of e_M psi
+# The aggregate sigma + J + (i) 2S + i K tau - omega tau is the Fierz expansion
+# 4 psi psibar = sum_M (psibar e_M psi / e_M^2) e_M, so blade M holds covariant
+# _Z_SOURCES[M] times 1 / (w e_M^2).  For w = i a that is i / (-a e_M^2), kept as 1j times
+# the real reciprocal, so that a zero real part carries its sign; the real-S variant
+# (imaginary_s=False) drops the i of the S slots.
+_RECIPROCALS = 1.0 / (
+    (_PROBE_WEIGHTS.real - _PROBE_WEIGHTS.imag) * _BUNDLES["weyl"].blade_squares[_PROBE_MASKS])
+_Z_WEIGHTS = {True: np.where(_PROBE_WEIGHTS.imag != 0, 1j * _RECIPROCALS, _RECIPROCALS)[_Z_SOURCES]}
+_Z_WEIGHTS[False] = _Z_WEIGHTS[True].copy()
+_Z_WEIGHTS[False][_BIVECTORS] = _RECIPROCALS[_S]
 # Every covariant is at most |psi|^2 (each gamma^0 P has operator norm <= 1).  The largest
 # value the chain forms from them is a blade-route residual, a difference of two 16-term
 # products of form entries up to 2 |psi|^2, so at most 128 |psi|^4: up to this |psi|^2
 # (about 1.2e153) the probe products, scale() and every residual stay finite.
 _NORM_SQUARED_MAX = math.sqrt(sys.float_info.max / 128)
 
-_BUNDLES = {name: builtin_gammas(name) for name in ("weyl", "dirac")}
 _SIMILARITY = similarity_matrix()
 _SIMILARITY.flags.writeable = False
 
@@ -76,26 +78,6 @@ def _bundle(rep: str) -> RepBundle:
         return _BUNDLES[rep]
     except KeyError:
         raise InvalidInput(f"unknown representation {rep!r}") from None
-
-
-def _gammas(rep: str) -> list:
-    return _bundle(rep).gammas
-
-
-@lru_cache(maxsize=None)
-def _probes(rep: str) -> np.ndarray:
-    """(16, 4, 4) probes P whose expectations psibar P psi are sigma, J_mu, S_mu_nu, K_mu, omega."""
-    blade = _bundle(rep).gamma_blade
-    tau = blade(_TAU_MASK)
-    stack = np.stack(
-        [blade(0)]
-        + [blade(1 << m) for m in range(4)]
-        + [0.5j * blade((1 << m) | (1 << n)) for m, n in S_PAIRS]
-        + [1j * tau @ blade(1 << m) for m in range(4)]
-        + [tau]
-    )
-    stack.flags.writeable = False
-    return stack
 
 
 @dataclass(frozen=True)
@@ -188,7 +170,7 @@ class _BilinearPass(NamedTuple):
 
 
 def _bilinear_pass(rep: str, v: np.ndarray) -> _BilinearPass:
-    """One contraction of the 16 probes with v: bar P_i v, as in RepBundle.pairings.
+    """One contraction of the 16 probes with v: psibar w_A e_M psi, through RepBundle.act.
 
     A |psi|^2 past _NORM_SQUARED_MAX (or one that overflows) raises InvalidInput
     before any product is formed.
@@ -196,9 +178,12 @@ def _bilinear_pass(rep: str, v: np.ndarray) -> _BilinearPass:
     norm = float(np.vdot(v, v).real)
     if not norm <= _NORM_SQUARED_MAX:
         raise InvalidInput(f"spinor too large: |psi|^2 = {norm:.3g} > {_NORM_SQUARED_MAX:.3g}")
-    # every probe is monomial (one nonzero per row), so each entry of P v is one product
-    # plus exact zeros: the flat (64, 4) product has the bits of the (16, 4, 4) stack's
-    raw = (_probes(rep).reshape(64, 4) @ v).reshape(16, 4) @ (v.conj() @ _gammas(rep)[0])
+    # every blade matrix is monomial (one unit per row), so each entry of e_M v is one exact
+    # product plus exact zeros, and weighting the rows before the adjoint contraction gives
+    # the bits of the weighted probes' product (a full weight array, not a broadcast column,
+    # halves the multiply)
+    bundle = _bundle(rep)
+    raw = ((bundle.act(v) * _WEIGHTS_BY_MASK) @ (v.conj() @ bundle.gammas[0]))[_PROBE_MASKS]
     c = raw.real.tolist()
     B = BilinearSet(c[0], c[1:5], c[5:11], c[11:15], c[15])
     return _BilinearPass(B, max(map(abs, raw.imag.tolist())), 1.0 + norm)
@@ -395,7 +380,7 @@ def fierz_aggregate(B: BilinearSet, rep: str = "weyl", tol: float = 1e-9,
     """
     _check_tol(tol)
     z, Zm = _aggregate(B, rep, imaginary_s)
-    G0 = _gammas(rep)[0]
+    G0 = _bundle(rep).gammas[0]
     boomerang_resid = np.abs(G0 @ Zm.conj().T @ G0 - Zm).max()
     scale = max(1.0, float(np.abs(Zm).max()))
     return FierzAggregate(Multivector.from_vector(SIG13, z, "complex"),
@@ -419,7 +404,8 @@ def aggregate_residuals(B: BilinearSet, rep: str = "weyl") -> tuple:
         top = float(np.abs(Z).max())
         scale = max(1.0, top * top)
         values = B._array
-        r = np.abs(Z @ _probes(rep) @ Z - 4.0 * values[:, None, None] * Z).max(axis=(1, 2)) / scale
+        ZPZ = _PROBE_WEIGHTS[:, None, None] * (Z @ _bundle(rep).act(Z, _PROBE_MASKS))
+        r = np.abs(ZPZ - 4.0 * values[:, None, None] * Z).max(axis=(1, 2)) / scale
     r = r.tolist()
     _finite(scale, *r)
     return r[0], max(r[1:5]), max(r[5:11]), max(r[11:15]), r[15]
@@ -494,7 +480,7 @@ def _default_etas(rep: str) -> tuple:
     """(5, 4) candidate reference spinors, the first nonzero column of the standard
     idempotent and then the four canonical basis spinors, with their etabar gamma^0
     rows, from which etabar Z is read (both read-only)."""
-    G = _gammas(rep)
+    G = _bundle(rep).gammas
     f = 0.25 * (np.eye(4, dtype=complex) + G[0]) @ (np.eye(4, dtype=complex) + 1j * G[1] @ G[2])
     for col in range(4):
         v = f[:, col]
@@ -525,7 +511,7 @@ def reconstruct(B: BilinearSet, eta: DiracSpinor | None = None, rep: str = "weyl
         rows = etabars @ Z
     else:
         etas = eta.vector[None]
-        rows = etas.conj() @ _gammas(rep)[0] @ Z
+        rows = etas.conj() @ _bundle(rep).gammas[0] @ Z
     vals = (rows[:, None, :] @ etas[:, :, None]).ravel()  # etabar Z eta per candidate
     pick = int(np.argmax(np.abs(vals)))  # the first candidate among equal maxima
     best, best_raw = etas[pick], complex(vals[pick])

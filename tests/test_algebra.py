@@ -64,6 +64,18 @@ class TestConstructors:
         with pytest.raises(InvalidInput):
             basis_blade(S30, [4])
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "3", None], ids=repr)
+    def test_masks_and_indices_must_be_integers(self, bad):
+        with pytest.raises(InvalidInput, match="must be integers"):
+            Multivector(S30, {bad: 1.0})
+        with pytest.raises(InvalidInput, match="must be integers"):
+            basis_blade(S30, [bad])
+
+    def test_integer_masks_and_indices_read_as_plain_ints(self):
+        mv = Multivector(S30, {np.int64(3): 1.0, True: 2.0})
+        assert mv.terms == {3: 1.0, 1: 2.0} and all(type(m) is int for m in mv.terms)
+        assert basis_blade(S30, [np.int32(1), 3]).terms == {0b101: 1.0}
+
     def test_linear_combine(self):
         e1 = basis_blade(S30, [1])
         assert linear_combine([(1, e1), (-1, e1)]).is_zero()

@@ -170,11 +170,11 @@ SERIES_SIGS = [Signature(p, n - p) for n in range(4, 9) for p in range(n + 1)]
 
 
 class TestRotorSeries:
-    """Up to DENSE_MAX_N the series runs on a coefficient vector; it must equal the
-    Multivector series, bit for bit at n <= 7 and to rounding at n = 8, where the
-    Multivector products sum the contraction in four gather blocks and the vector
-    series sums each product in one.  For
-    n <= 3 every bivector squares to a scalar, so only the closed form runs there."""
+    """Up to n = 8 (groups._VECTOR_MAX_N) the series runs on a coefficient vector;
+    it must equal the Multivector series, bit for bit at n <= 7 and to rounding at
+    n = 8, where the Multivector products sum the contraction in four gather blocks
+    and the vector series sums each product in one.  For n <= 3 every bivector
+    squares to a scalar, so only the closed form runs there."""
 
     @pytest.mark.parametrize("sig", SERIES_SIGS, ids=str)
     def test_vector_series_matches_multivector_series(self, sig):

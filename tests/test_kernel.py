@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from spinorlab import algebra
 
 from spinorlab.algebra import (
-    DENSE_MAX_N,
+    DENSE_TABLE_MAX_N,
     SPLIT_MIN_N,
     DenseTable,
     Multivector,
@@ -294,18 +294,37 @@ def test_dense_table_wedge_matches_sparse_wedge(p, q):
 
 @pytest.mark.parametrize("p,q", [(5, 4), (5, 5), (6, 6), (8, 8)])
 def test_above_table_limit_products_are_sparse(p, q):
-    """n > DENSE_MAX_N: products take the sparse loop and build no table."""
+    """Products below the term rule at n = 9, 10 and every product above
+    DENSE_TABLE_MAX_N take the sparse loop and build no table."""
     sig = Signature(p, q)
-    assert sig.n > DENSE_MAX_N
     rng = np.random.default_rng(24 + sig.n)
     before = _signed_index.cache_info(), _split_index.cache_info()
     for count in (3, 6):
         a = random_terms(sig, rng, count, max_grade=4)
         b = random_terms(sig, rng, count, complex_coeffs=True, max_grade=4)
+        assert sig.n > DENSE_TABLE_MAX_N or count * count < 1 << sig.n
         assert not _dense(a, b, 1)
         assert approx_equal(geometric_product(a, b), geometric_product_contracted(a, b), 1e-12)
     after = _signed_index.cache_info(), _split_index.cache_info()
     assert [(c.hits, c.misses) for c in after] == [(c.hits, c.misses) for c in before]
+
+
+@pytest.mark.parametrize("p,q", [(5, 4), (0, 9), (5, 5), (3, 7)])
+def test_products_at_the_term_rule_take_the_split_up_to_the_table_limit(p, q):
+    """At n = 9, 10 a product of |a| |b| >= 2^n terms and a wedge of >= 4 2^n
+    terms take the graded split, and agree with the sparse loop to 1e-13."""
+    sig = Signature(p, q)
+    rng = np.random.default_rng(40 + p)
+    root = int(np.ceil(np.sqrt(1 << sig.n)))
+    for op, count, wedge_kind in ((geometric_product, root, False), (wedge, 2 * root, True)):
+        a = random_terms(sig, rng, count)
+        b = random_terms(sig, rng, count, complex_coeffs=True)
+        assert _dense(a, b, 4 if wedge_kind else 1)
+        before = _split_index.cache_info()
+        got = op(a, b)
+        after = _split_index.cache_info()
+        assert after.hits + after.misses > before.hits + before.misses
+        assert approx_equal(got, _sparse_product(a, b, wedge=wedge_kind), 1e-13)
 
 
 def test_contracted_oracle_reads_no_table():

@@ -10,6 +10,7 @@ from spinorlab.algebra import basis_blade
 from spinorlab.errors import InvalidInput, ReconstructionFailed
 from spinorlab.io import bilinears_from_json, bilinears_to_json, spinor_from_json, spinor_to_json
 from spinorlab.minkowski import (
+    S_PAIRS,
     SIG13,
     BilinearSet,
     DiracSpinor,
@@ -408,14 +409,22 @@ class TestBilinearPass:
 
     @pytest.mark.parametrize("rep", ["weyl", "dirac"])
     def test_pass_has_the_bits_of_the_stacked_probe_product(self, rep):
-        # the pass multiplies the probes as one (64, 4) matrix, exact because each
-        # probe row has one nonzero entry
-        from spinorlab.matrices import DIRAC_GAMMAS, WEYL_GAMMAS
-        from spinorlab.minkowski import _probes
+        # the (16, 4, 4) probe stack, built blade by blade here: the pass's weighted
+        # blade rows must have the bits of the probes' own product with psi
+        from spinorlab.matrices import builtin_gammas
 
-        probes = _probes(rep)
+        bundle = builtin_gammas(rep)
+        blade = bundle.gamma_blade
+        tau = blade(0b1111)
+        probes = np.stack(
+            [blade(0)]
+            + [blade(1 << m) for m in range(4)]
+            + [0.5j * blade((1 << m) | (1 << n)) for m, n in S_PAIRS]
+            + [1j * tau @ blade(1 << m) for m in range(4)]
+            + [tau]
+        )
         assert (np.count_nonzero(probes, axis=2) == 1).all()
-        G0 = {"weyl": WEYL_GAMMAS, "dirac": DIRAC_GAMMAS}[rep][0]
+        G0 = bundle.gammas[0]
         rng = np.random.default_rng(32)
         for k in range(200):
             comps = (rng.normal(size=4) + 1j * rng.normal(size=4)) * 10.0 ** rng.integers(-5, 6)
@@ -423,6 +432,41 @@ class TestBilinearPass:
             psi = DiracSpinor(rep, tuple(comps))
             raw = (probes @ psi.vector) @ (psi.vector.conj() @ G0)
             assert psi._bilinears.covariants._array.tobytes() == raw.real.tobytes()
+
+    def test_aggregate_tables_have_the_bits_of_the_hand_built_ones(self):
+        # the aggregate sigma + J + (i) 2S + i K tau - omega tau written out term by
+        # term, K tau gathered with the signs of right multiplication by tau
+        from spinorlab.algebra import blade_images
+        from spinorlab.minkowski import _Z_SOURCES, _Z_WEIGHTS
+
+        tau = 0b1111
+        raise_ = (1.0, -1.0, -1.0, -1.0)
+        vectors = np.array([1 << m for m in range(4)])
+        bivectors = np.array([(1 << m) | (1 << n) for m, n in S_PAIRS])
+        s_weights = np.array([2.0 * raise_[m] * raise_[n] for m, n in S_PAIRS])
+        tau_signs = blade_images(SIG13, np.ones(16), [tau])[1][0]
+        order = np.argsort(np.concatenate(([0], vectors, vectors ^ tau, bivectors, [tau])))
+        sources = np.concatenate(([0], np.arange(1, 5), np.arange(11, 15), np.arange(5, 11), [15]))[order]
+        k_tau = 1j * np.multiply(raise_, tau_signs[vectors ^ tau])
+        assert _Z_SOURCES.tobytes() == sources.tobytes()
+        for imaginary_s in (True, False):
+            weights = np.concatenate(
+                ([1.0], raise_, k_tau, s_weights * (1j if imaginary_s else 1.0), [-1.0])
+            )[order]
+            assert _Z_WEIGHTS[imaginary_s].tobytes() == weights.tobytes()
+
+    def test_minkowski_holds_no_blade_stack(self):
+        # the covariants read the bundle through act alone: no probe stack, no blade lookup
+        import ast
+        from pathlib import Path
+
+        import spinorlab.minkowski
+
+        path = Path(spinorlab.minkowski.__file__)
+        names = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        assert not names & {"gamma_blade", "blades", "_probes"}
 
     def test_a_rejecting_tol_rejects_after_a_passing_one(self):
         psi = random_spinor(np.random.default_rng(31))
