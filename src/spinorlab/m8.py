@@ -125,7 +125,8 @@ def fierz_identity_residual(x1, x2, x3, x4) -> float:
     norm = max(1.0, float(np.abs(prod_vec).max()), float(np.abs(target).max()))
     resid_form = float(np.abs(prod_vec - target).max()) / norm
 
-    m12, m34, m14 = (rank_one_matrix(a, b) for a, b in ((x1, x2), (x3, x4), (x1, x4)))
+    # rank_one_matrix of each pair, on the arrays validated above
+    m12, m34, m14 = np.outer(x1, x2), np.outer(x3, x4), np.outer(x1, x4)
     mat_target = b32 * m14
     mat_norm = max(1.0, float(np.abs(mat_target).max()))
     m1234 = m12 @ m34
@@ -212,6 +213,14 @@ class FluxData:
                 clean[idx] = val
         object.__setattr__(self, "F", clean)
 
+    @classmethod
+    def _trusted(cls, f: tuple, F: dict, dDelta: tuple, kappa: float) -> "FluxData":
+        """FluxData of fields already in the form __post_init__ leaves: tuples of 8
+        finite floats, a finite float kappa and nonzero finite floats on ascending keys."""
+        flux = object.__new__(cls)
+        flux.__dict__.update(f=f, F=F, dDelta=dDelta, kappa=kappa)
+        return flux
+
 
 _FOUR_FORM_KEYS = {idx: idx for idx in _FOUR_FORMS}
 
@@ -277,12 +286,21 @@ def build_constraint_operator(flux: FluxData) -> ConstraintOperator:
     return ConstraintOperator(CL8.quantize(coeffs), flux)
 
 
+def _as_operator(Q) -> np.ndarray:
+    """Q as a 2-D float array; InvalidInput for a complex, non-numeric or non-finite one."""
+    Q = np.asarray(Q)
+    if Q.dtype.kind not in "biuf" or Q.ndim != 2:
+        raise InvalidInput("the constraint operator must be a real matrix")
+    Q = Q.astype(float, copy=False)
+    if not np.isfinite(Q).all():
+        raise InvalidInput("non-finite entry in the constraint operator")
+    return Q
+
+
 def kernel(Q: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal kernel basis (columns) by singular-value thresholding."""
     _check_tol(tol)
-    Q = np.asarray(Q, dtype=float)
-    if not np.isfinite(Q).all():
-        raise InvalidInput("non-finite entry in the constraint operator")
+    Q = _as_operator(Q)
     u, s, vt = np.linalg.svd(Q)
     cutoff = tol * (s[0] if s.size and s[0] > 0 else 1.0)
     null_dim = int((s <= cutoff).sum())
@@ -296,34 +314,51 @@ def cgk_residual(Q: np.ndarray, x, y) -> float:
 
     Both vanish when x and y sit in the kernel of Q and of its transpose; the
     built-in flux operators with f = 0 are symmetric, making one condition
-    imply the other.
+    imply the other.  E_{x,y} and E_{y,x} are read off one CL8.act of the
+    (16, 2) block of x and y; each contracts a contiguous copy of its
+    (256, 16) half, so it has the bits of CL8.pairings(x, y) / 16.
     """
-    q_form = CL8.dequantize(np.asarray(Q, dtype=float))
+    q_form = CL8.dequantize(_as_operator(Q))
     x, y = _as_spinor(x), _as_spinor(y)
-    exy, eyx = CL8.pairings(x, y) / 16.0, CL8.pairings(y, x) / 16.0
+    g = CL8.act(np.stack((x, y), axis=1))  # gamma_M x at [M, :, 0], gamma_M y at [M, :, 1]
+    exy, eyx = np.ascontiguousarray(g[..., 1]) @ x / 16.0, np.ascontiguousarray(g[..., 0]) @ y / 16.0
     scale = max(1.0, float(np.abs(exy).max()) * max(1.0, float(np.abs(q_form).max())))
     left = float(np.abs(_dense_contract(SIG80, exy, q_form, "product")).max())
     right = float(np.abs(_dense_contract(SIG80, q_form, eyx, "product")).max())
     return (left + right) / scale
 
 
+def _flux_response(x: np.ndarray) -> np.ndarray:
+    """16 x 79 response of Q x to (dDelta, F, kappa) for a nonzero x scaled to unit
+    max-norm: column j is generator j applied to it, over its divisor."""
+    return CL8.act(x / np.abs(x).max(), _FLUX_MASKS).T * (1.0 / _FLUX_DIVISORS)
+
+
 def flux_with_kernel_spinor(x, rng=None) -> FluxData:
     """Random flux (f = 0) whose constraint operator annihilates the given spinor.
 
-    Q is linear in (dDelta, F, kappa); the flux is drawn from the nullspace of
-    the 16 x 79 response matrix of those parameters on x.  With f = 0 the
-    operator is symmetric, so x also spans kernel directions of Q transpose.
+    Q is linear in (dDelta, F, kappa), so the flux is a unit vector in the
+    nullspace of the 16 x 79 response matrix A of those parameters on x.  A is
+    built from x scaled to unit max-norm, so the draw does not depend on the
+    scale of x.  The weights are a 79-dim standard Gaussian g projected onto
+    null(A), g - A^T (A A^T)^-1 A g (A has rank 16), then normalised: uniform on
+    the unit sphere of the nullspace, as an orthonormal nullspace basis times a
+    Gaussian would give, though not the same values for a given generator.
+    rng is a numpy Generator or a seed for np.random.default_rng (None: seed 0).
+    With f = 0 the operator is symmetric, so x also spans kernel directions of
+    Q transpose.
     """
     xv = _as_spinor(x)
-    if np.linalg.norm(xv) == 0:
+    if not xv.any():
         raise InvalidInput("seed spinor must be nonzero")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    # 16 x 79: column j is generator j applied to x, over its divisor
-    A = CL8.act(xv, _FLUX_MASKS).T * (1.0 / _FLUX_DIVISORS)
-    _, s, vt = np.linalg.svd(A)
-    null = vt[len(s[s > 1e-10 * s[0]]):].T
-    weights = null @ rng.normal(size=null.shape[1])
+    try:
+        rng = np.random.default_rng(0 if rng is None else rng)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"rng must be a numpy Generator or a seed: {exc}") from None
+    A = _flux_response(xv)
+    g = rng.standard_normal(A.shape[1])
+    weights = g - A.T @ np.linalg.solve(A @ A.T, A @ g)
     weights /= np.linalg.norm(weights)
     w = weights.tolist()
-    return FluxData(f=(0.0,) * 8, F=dict(zip(_FOUR_FORMS, w[8:-1])), dDelta=tuple(w[:8]), kappa=w[-1])
+    F = {idx: v for idx, v in zip(_FOUR_FORMS, w[8:-1]) if v != 0.0}
+    return FluxData._trusted((0.0,) * 8, F, tuple(w[:8]), w[-1])

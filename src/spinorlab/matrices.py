@@ -135,14 +135,23 @@ class RepBundle:
     def act(self, y: np.ndarray, masks=slice(None)) -> np.ndarray:
         """blades[M] y for each listed mask: (masks, dim) for one spinor y, through
         _matvec, or (masks, dim, k) for the k spinors that are the columns of a
-        (dim, k) block y, through one matrix product that reads the stack once."""
-        rows = self.blades[masks].reshape(-1, self.dim)
-        if y.ndim == 1:
-            return _matvec(rows, y).reshape(-1, self.dim)
-        return (rows @ y).reshape(-1, self.dim, y.shape[1])
+        (dim, k) block y, through one matrix product that reads the stack once.
+
+        The product runs over the whole stack in place, never over a copy of the
+        listed blades, and the listed rows are taken from it as a C-contiguous
+        array.  Every built-in blade matrix is monomial, so each entry is one
+        product plus exact zeros and has the bits of multiplying a copy.
+        """
+        rows = self.blades.reshape(-1, self.dim)
+        out = _matvec(rows, y) if y.ndim == 1 else rows @ y
+        out = out.reshape((len(self.blades), self.dim) + y.shape[1:])
+        return np.ascontiguousarray(out[masks]).reshape((-1,) + out.shape[1:])
 
     def pairings(self, x: np.ndarray, y: np.ndarray, masks=slice(None)) -> np.ndarray:
-        """x^T blades[M] y for each listed mask, as act(y, masks) @ x (no conjugation)."""
+        """x^T blades[M] y for each listed mask, as act(y, masks) @ x (no conjugation).
+
+        Only the listed rows are contracted: contracting all 2^n rows and selecting
+        afterwards would sum in another order and change the bits."""
         return self.act(y, masks) @ x
 
     def quantize(self, coeffs: np.ndarray) -> np.ndarray:

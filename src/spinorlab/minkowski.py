@@ -137,6 +137,17 @@ class BilinearSet:
             raise InvalidInput("non-finite bilinear")
         self.__dict__.update(sigma=sigma, J=J, S=S, K=K, omega=omega)
 
+    @classmethod
+    def _trusted(cls, values: np.ndarray) -> "BilinearSet":
+        """The set of 16 finite covariants in probe order, unchecked; `values`, made
+        read-only, is kept as _array."""
+        c = values.tolist()
+        B = object.__new__(cls)
+        values.flags.writeable = False
+        B.__dict__.update(sigma=c[0], J=tuple(c[1:5]), S=tuple(c[5:11]), K=tuple(c[11:15]),
+                          omega=c[15], _array=values)
+        return B
+
     def scale(self) -> float:
         """The sum of the squares of the covariants; InvalidInput when it overflows."""
         try:
@@ -184,9 +195,8 @@ def _bilinear_pass(rep: str, v: np.ndarray) -> _BilinearPass:
     # halves the multiply)
     bundle = _bundle(rep)
     raw = ((bundle.act(v) * _WEIGHTS_BY_MASK) @ (v.conj() @ bundle.gammas[0]))[_PROBE_MASKS]
-    c = raw.real.tolist()
-    B = BilinearSet(c[0], c[1:5], c[5:11], c[11:15], c[15])
-    return _BilinearPass(B, max(map(abs, raw.imag.tolist())), 1.0 + norm)
+    # the |psi|^2 bound keeps the covariants finite, so the set is built unchecked
+    return _BilinearPass(BilinearSet._trusted(raw.real), max(map(abs, raw.imag.tolist())), 1.0 + norm)
 
 
 def bilinears(psi: DiracSpinor, tol: float = 1e-9) -> BilinearSet:

@@ -147,6 +147,36 @@ def test_act_on_a_block_repeats_the_single_calls(rep, kind):
     assert np.array_equal(rep.act(block[:, 0])[top], rep.gamma_blade(top) @ block[:, 0])
 
 
+@pytest.mark.parametrize("rep", STACKED_BUNDLES)
+def test_act_in_place_has_the_bits_of_the_copied_blades(rep):
+    """act multiplies the whole stack in place and selects the listed rows; act and
+    pairings keep the bits of multiplying a copy of the listed blades, for index
+    arrays (repeats, any order), slices (any step), real and complex spinors and
+    blocks, with signed zeros and subnormals among the entries."""
+    from spinorlab.matrices import _matvec
+
+    count = 1 << rep.sig.n
+    rng = np.random.default_rng(54)
+    for case in range(100):
+        if case % 3 == 0:
+            masks = rng.choice(count, size=rng.integers(1, 2 * count), replace=True)
+        elif case % 3 == 1:
+            start, stop = sorted(rng.integers(0, count + 1, size=2).tolist())
+            masks = slice(start, stop, int(rng.choice([1, 2, 3]))) if case % 2 else slice(stop, start, -1)
+        else:
+            masks = np.sort(rng.choice(count, size=rng.integers(1, count + 1), replace=False))
+        y, x = rng.normal(size=(2, rep.dim)) * 10.0 ** rng.integers(-150, 150, size=(2, rep.dim))
+        if case % 2:
+            y, x = y + 1j * rng.normal(size=rep.dim), x - 1j * rng.normal(size=rep.dim)
+        y[case % rep.dim] = (0.0, -0.0, 5e-324, -1e-310)[case % 4]
+        block = np.stack((y, rng.normal(size=rep.dim)), axis=1)
+        rows = rep.blades[masks].reshape(-1, rep.dim)  # the listed blades, copied
+        want = _matvec(rows, y).reshape(-1, rep.dim)
+        assert rep.act(y, masks).tobytes() == want.tobytes(), (case, masks)
+        assert rep.pairings(x, y, masks).tobytes() == (want @ x).tobytes(), (case, masks)
+        assert rep.act(block, masks).tobytes() == (rows @ block).reshape(-1, rep.dim, 2).tobytes()
+
+
 def test_only_matrices_reads_the_blade_stack():
     """Outside matrices no module reads a bundle's `blades`: the stack's storage is
     RepBundle's alone, and every other module calls act, pairings, quantize,

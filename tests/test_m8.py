@@ -138,11 +138,14 @@ class TestFierz:
 
     @pytest.mark.parametrize("route", ["rank_one_matrix", "quantize"])
     def test_identity_residual_keeps_nan(self, monkeypatch, route):
-        # a NaN in the matrix route (second) or the bridge (third) was dropped by a plain max
+        # a NaN in the matrix route (second) or the bridge (third) was dropped by a plain max;
+        # the matrix route forms its rank-one matrices with np.outer on the validated spinors,
+        # as rank_one_matrix does, so that is where its NaN is planted
         import spinorlab.m8 as m8
 
-        original = getattr(m8, route)
-        monkeypatch.setattr(m8, route, lambda *args: original(*args) * np.nan)
+        owner, name = (m8.np, "outer") if route == "rank_one_matrix" else (m8, route)
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: original(*args) * np.nan)
         rng = np.random.default_rng(8)
         assert np.isnan(fierz_identity_residual(*(rng.normal(size=16) for _ in range(4))))
 
@@ -363,6 +366,141 @@ class TestConstraints:
         op = build_constraint_operator(flux)
         outside = rng.normal(size=16)
         assert cgk_residual(op.Q, outside, outside) > 1e-6
+
+
+def flux_seeds():
+    """Seeds for the flux draw: random, single-chirality, nearly single-chirality
+    (1e-12 of the other half), a basis spinor with subnormal noise, a sparse one,
+    and random ones scaled by 1e-300 and by 1e150."""
+    rng = np.random.default_rng(61)
+    diag = np.diag(chirality())
+    seeds = []
+    for _ in range(3):
+        x = rng.normal(size=16)
+        plus = np.where(diag > 0, x, 0.0)
+        nearly = plus + 1e-12 * np.where(diag < 0, rng.normal(size=16), 0.0)
+        basis = np.eye(16)[rng.integers(16)] + 5e-324 * rng.integers(-3, 4, size=16)
+        sparse = np.where(rng.random(16) < 0.2, x, 0.0)
+        sparse[rng.integers(16)] = 1.0
+        seeds += [x, plus, np.where(diag < 0, x, 0.0), nearly, basis, sparse, 1e-300 * x, 1e150 * x]
+    return seeds
+
+
+class TestFluxDraw:
+    @pytest.mark.parametrize("x", flux_seeds())
+    def test_response_has_rank_16(self, x):
+        from spinorlab.m8 import _flux_response
+
+        A = _flux_response(x)
+        s = np.linalg.svd(A, compute_uv=False)
+        assert np.linalg.matrix_rank(A) == 16
+        assert s[-1] > s[0] / 100  # the projection's 16 x 16 solve is well posed
+
+    @pytest.mark.parametrize("x", flux_seeds())
+    def test_drawn_flux_annihilates_its_seed(self, x):
+        unit = x / np.abs(x).max()  # Q x at 1e-300 would be subnormal: |Q x| / |x| is read on x / |x|_max
+        for seed in range(3):
+            flux = flux_with_kernel_spinor(x, seed)
+            Q = build_constraint_operator(flux).Q
+            assert not any(flux.f)
+            assert np.abs(Q @ unit).max() <= 1e-12 * np.abs(Q).max() * np.linalg.norm(unit)
+            weights = np.array([*flux.dDelta, *flux.F.values(), flux.kappa])
+            assert len(flux.F) == 70 and abs(np.linalg.norm(weights) - 1.0) <= 1e-15
+
+    def test_draw_does_not_depend_on_the_seed_scale(self):
+        x = np.random.default_rng(62).normal(size=16)
+        flux = flux_with_kernel_spinor(x, 4)
+        assert flux_with_kernel_spinor(2.0**-1000 * x, 4) == flux  # bit for bit
+        for c in (1e-300, 3.7, 1e150):
+            other = flux_with_kernel_spinor(c * x, 4)
+            assert max(abs(a - b) for a, b in zip(other.F.values(), flux.F.values())) <= 1e-14
+
+    def test_draw_is_uniform_on_the_nullspace_sphere(self):
+        # E[w w^T] of a unit vector uniform on the sphere of the 63-dim nullspace is P / 63
+        from spinorlab.m8 import _FOUR_FORMS, _flux_response
+
+        x = np.random.default_rng(63).normal(size=16)
+        A = _flux_response(x)
+        P = np.eye(79) - A.T @ np.linalg.solve(A @ A.T, A)
+        rng = np.random.default_rng(64)
+        draws = []
+        for _ in range(2000):
+            flux = flux_with_kernel_spinor(x, rng)
+            draws.append([*flux.dDelta, *(flux.F[idx] for idx in _FOUR_FORMS), flux.kappa])
+        W = np.array(draws)
+        assert np.abs(A @ W.T).max() <= 1e-14
+        assert np.abs(W.T @ W / len(W) - P / 63).max() <= 3e-3
+
+    def test_rng_is_a_generator_or_a_seed(self):
+        x = np.random.default_rng(65).normal(size=16)
+        assert flux_with_kernel_spinor(x, 5) == flux_with_kernel_spinor(x, np.random.default_rng(5))
+        assert flux_with_kernel_spinor(x) == flux_with_kernel_spinor(x, 0)
+        for bad in ("abc", -1, 1.5):
+            with pytest.raises(InvalidInput, match="rng"):
+                flux_with_kernel_spinor(x, bad)
+
+    def test_drawn_flux_equals_the_validated_one(self):
+        flux = flux_with_kernel_spinor(np.random.default_rng(66).normal(size=16), 7)
+        assert flux == FluxData(f=flux.f, F=flux.F, dDelta=flux.dDelta, kappa=flux.kappa)
+        assert all(type(i) is int for idx in flux.F for i in idx)
+        assert all(type(v) is float for v in (*flux.f, *flux.dDelta, *flux.F.values(), flux.kappa))
+
+    def test_only_zero_seeds_are_refused(self):
+        for tiny in (np.full(16, 1e-300), np.eye(16)[3] * 5e-324):
+            Q = build_constraint_operator(flux_with_kernel_spinor(tiny, 1)).Q
+            assert np.abs(Q @ (tiny / np.abs(tiny).max())).max() <= 1e-12 * np.abs(Q).max()
+        for zero in (np.zeros(16), np.full(16, -0.0)):
+            with pytest.raises(InvalidInput, match="nonzero"):
+                flux_with_kernel_spinor(zero, 1)
+
+
+class TestOperatorInput:
+    @pytest.mark.parametrize("bad", [
+        np.eye(16, dtype=complex),
+        np.eye(16) + 1e-3j,
+        np.full((16, 16), "1.0"),
+        np.eye(16)[None],
+    ])
+    def test_kernel_and_cgk_need_a_real_matrix(self, bad):
+        x = np.eye(16)[0]
+        with pytest.raises(InvalidInput, match="real matrix"):
+            kernel(bad)
+        with pytest.raises(InvalidInput, match="real matrix"):
+            cgk_residual(bad, x, x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_cgk_rejects_non_finite_operator(self, bad):
+        Q = np.eye(16)
+        Q[3, 5] = bad
+        x = np.eye(16)[0]
+        with pytest.raises(InvalidInput, match="non-finite"):
+            cgk_residual(Q, x, x)
+
+    def test_integer_operator_reads_as_float(self):
+        x = np.eye(16)[0]
+        assert kernel(np.zeros((16, 16), dtype=int)).shape == (16, 16)
+        assert cgk_residual(np.eye(16, dtype=int), x, x) == cgk_residual(np.eye(16), x, x)
+
+    def test_one_pass_cgk_has_the_bits_of_two_pairings(self):
+        # E_xy and E_yx read off one act of the (16, 2) block, against CL8.pairings each
+        from spinorlab.algebra import _dense_contract
+        from spinorlab.m8 import CL8
+
+        def two_pass(Q, x, y):
+            q_form = CL8.dequantize(Q)
+            exy, eyx = CL8.pairings(x, y) / 16.0, CL8.pairings(y, x) / 16.0
+            scale = max(1.0, float(np.abs(exy).max()) * max(1.0, float(np.abs(q_form).max())))
+            left = float(np.abs(_dense_contract(SIG80, exy, q_form, "product")).max())
+            right = float(np.abs(_dense_contract(SIG80, q_form, eyx, "product")).max())
+            return (left + right) / scale
+
+        rng = np.random.default_rng(67)
+        for trial in range(40):
+            x = rng.normal(size=16) * 10.0 ** rng.integers(-3, 4)
+            flux = flux_with_kernel_spinor(x, rng)
+            Q = build_constraint_operator(flux).Q
+            y = kernel(Q)[:, 0] if trial % 2 else rng.normal(size=16)
+            assert cgk_residual(Q, x, y) == two_pass(Q, x, y), trial
 
 
 class TestJson:

@@ -433,6 +433,25 @@ class TestBilinearPass:
             raw = (probes @ psi.vector) @ (psi.vector.conj() @ G0)
             assert psi._bilinears.covariants._array.tobytes() == raw.real.tobytes()
 
+    @pytest.mark.parametrize("rep", ["weyl", "dirac"])
+    def test_pass_set_equals_the_validated_one(self, rep):
+        # the pass builds its BilinearSet unchecked and keeps its covariant array as
+        # _array: the set must compare and hash like BilinearSet(*fields), hold Python
+        # floats in tuples, and keep an _array of the same bits that cannot be written
+        rng = np.random.default_rng(33)
+        for k in range(300):
+            comps = (rng.normal(size=4) + 1j * rng.normal(size=4)) * 10.0 ** rng.integers(-160, 76)
+            comps[k % 4] = (0.0, -0.0, 1e-310j, 3.0)[k % 4]
+            B = bilinears(DiracSpinor(rep, tuple(comps)))
+            ref = BilinearSet(B.sigma, B.J, B.S, B.K, B.omega)
+            assert B == ref and hash(B) == hash(ref)
+            assert all(type(block) is tuple for block in (B.J, B.S, B.K))
+            assert all(type(v) is float for v in (B.sigma, *B.J, *B.S, *B.K, B.omega))
+            assert B._array.tobytes() == ref._array.tobytes()
+            assert not B._array.flags.writeable
+            with pytest.raises(ValueError):
+                B._array[0] = 1.0
+
     def test_aggregate_tables_have_the_bits_of_the_hand_built_ones(self):
         # the aggregate sigma + J + (i) 2S + i K tau - omega tau written out term by
         # term, K tau gathered with the signs of right multiplication by tau
