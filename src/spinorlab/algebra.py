@@ -3,11 +3,14 @@
 Blades are encoded as bitmasks over the generators e^1..e^n (bit i-1 set means
 generator i is present); the empty mask is the scalar unit.  Products carry
 signs from transposition counting and metric factors diag(+1^p, -1^q) on the
-contracted indices.  Coefficients are double precision, real or complex.  A
-Multivector holds them sparsely, as terms with exact zeros pruned, or as a
-read-only coefficient vector indexed by blade mask, or both: the table route
-and from_vector keep the vector and build the terms on first read, a dict-built
-instance builds and keeps the vector on its first to_vector call.
+contracted indices.  Coefficients are double precision, real or complex.  One
+class, Multivector, has two storages for them: terms with exact zeros pruned
+and a read-only coefficient vector indexed by blade mask.  An instance holds
+one or both: the table route and from_vector keep the vector and build the
+terms on first read, a dict-built instance builds and keeps the vector on its
+first to_vector call.  blade_mask, blade_indices and blade_order name the blades for
+every other module: indices to mask, mask to indices, and the (grade, mask)
+order of display.
 
 The sign's parity, swaps(a, b) + |a & b & negative generators|, is bilinear
 over GF(2): it equals |b & H(a)| with H(a) = (a >> 1) ^ (a >> 2) ^ ... ^
@@ -157,6 +160,26 @@ def permutation_sign(perm) -> int:
 
 def _grade(mask: int) -> int:
     return bin(mask).count("1")
+
+
+def blade_mask(indices, n: int) -> int:
+    """Mask of the blade e^{i1...ik}: bit i - 1 per index, strictly ascending in 1..n."""
+    idx = [_integer(i, "generator indices") for i in indices]
+    if any(not 1 <= i <= n for i in idx):
+        raise InvalidInput(f"indices {idx} outside 1..{n}")
+    if any(b <= a for a, b in zip(idx, idx[1:])):
+        raise InvalidInput(f"indices {idx} not strictly ascending")
+    return sum(1 << (i - 1) for i in idx)
+
+
+def blade_indices(mask: int) -> list:
+    """The ascending generator indices of a blade mask: blade_mask's inverse."""
+    return [i + 1 for i in range(MAX_GENERATORS) if mask >> i & 1]
+
+
+def blade_order(masks) -> list:
+    """Blade masks by grade, then mask: the order of display, JSON and the ideal scan."""
+    return sorted(masks, key=lambda m: (_grade(m), m))
 
 
 def _check_tol(tol: float):
@@ -387,33 +410,76 @@ def stack_products(sig: Signature, A, B) -> np.ndarray:
     return _dense_contract(sig, A, B, "product").transpose(1, 0, 2)
 
 
+# Python and numpy numbers and bools, floats first: the common case is one check
+_NUMBERS = (float, int, complex, np.number, np.bool_)
+_REALS = (float, int, np.integer, np.floating, np.bool_)  # the numbers less the complex ones
+
+
 def _number(value):
     """A Python or numpy number as a float, or as a complex when its imaginary part
-    is nonzero; None for anything else.  The scalar operands of Multivector."""
-    if not isinstance(value, (int, float, complex, np.number)):
+    is nonzero; None for anything else.  The scalar operands and the coefficients
+    of Multivector."""
+    if not isinstance(value, _NUMBERS):
         return None
     value = complex(value)
     return value if value.imag else value.real
 
 
+def _numbers(values, message: str, kinds: tuple = _NUMBERS) -> tuple:
+    """values as a tuple, InvalidInput(message) unless it is an iterable of
+    instances of kinds: Python or numpy numbers, or real ones for _REALS."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        values = (None,)
+    if not all(isinstance(v, kinds) for v in values):
+        raise InvalidInput(message)
+    return values
+
+
+def _check_field(field):
+    if field not in ("real", "complex"):
+        raise InvalidInput(f"unknown field tag {field!r}")
+
+
+def _term_value(coeff, field: str):
+    """A coefficient as the float or complex a term of field holds; InvalidInput for
+    what _number rejects and, as in from_vector, for any complex value of a real
+    multivector."""
+    if field == "complex":
+        if isinstance(coeff, _NUMBERS):
+            return complex(coeff)
+    elif isinstance(coeff, _REALS):
+        return float(coeff)
+    elif isinstance(coeff, _NUMBERS):
+        raise InvalidInput("complex coefficients for a real multivector")
+    raise InvalidInput(f"coefficients must be Python or numpy numbers, got {coeff!r}")
+
+
 class Multivector:
     """Element of Cl(p,q) or its complexification: a blade-to-coefficient map.
 
-    An instance holds its terms (a dict from blade mask to a nonzero Python
-    float or complex), its read-only coefficient vector indexed by blade mask,
-    or both; each is built from the other on first access and then kept.  The
-    table route and from_vector return _VectorMultivector, which starts from
-    the vector.  Terms built from a vector run in ascending mask order with
-    exact zeros pruned, and a vector reads +0.0 at every exact zero, so an
-    instance reads the same whichever it was built from.
+    An instance has two storages: its terms (a dict from blade mask to a
+    nonzero Python float or complex) and its read-only coefficient vector
+    indexed by blade mask.  It holds one or both; the other is built from it on
+    first access and then kept.  The dict constructor starts from the terms,
+    the table route and from_vector from the vector.  Terms built from a vector
+    run in ascending mask order with exact zeros pruned, and a vector reads
+    +0.0 at every exact zero, so an instance reads the same whichever it was
+    built from.  While an instance holds only its vector, the involutions and a
+    finite real scale map the vector and return vector-built results, with the
+    bits of the term-by-term maps.
     """
 
-    # _vector is unset until to_vector; _versor holds the versor pass of groups on first use
-    __slots__ = ("sig", "field", "terms", "_vector", "_versor")
+    # _terms and _vector are unset until built; _versor holds the versor pass of groups on first use
+    __slots__ = ("sig", "field", "_terms", "_vector", "_versor")
 
     def __init__(self, sig: Signature, terms: dict, field: str = "real"):
-        if field not in ("real", "complex"):
-            raise InvalidInput(f"unknown field tag {field!r}")
+        """terms maps blade masks to Python or numpy numbers (the rule of _number); a
+        complex value needs field "complex".  Exact zeros are pruned."""
+        _check_field(field)
+        if not isinstance(terms, dict):
+            raise InvalidInput("terms must be a dict from blade mask to coefficient")
         limit = 1 << sig.n
         clean = {}
         for mask, coeff in terms.items():
@@ -421,12 +487,12 @@ class Multivector:
                 mask = _integer(mask, "blade masks")
             if not 0 <= mask < limit:
                 raise InvalidInput(f"blade mask {mask:#x} outside Cl({sig.p},{sig.q})")
-            c = complex(coeff) if field == "complex" else float(coeff)
+            c = _term_value(coeff, field)
             if c != 0:
                 clean[mask] = c
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
 
     @classmethod
     def _trusted(cls, sig: Signature, terms: dict, field: str) -> "Multivector":
@@ -434,7 +500,7 @@ class Multivector:
         mv = object.__new__(cls)
         object.__setattr__(mv, "sig", sig)
         object.__setattr__(mv, "field", field)
-        object.__setattr__(mv, "terms", terms)
+        object.__setattr__(mv, "_terms", terms)
         return mv
 
     @staticmethod
@@ -451,7 +517,7 @@ class Multivector:
         else:
             v = np.add(v, 0.0, dtype=np.float64)
         v.flags.writeable = False
-        mv = object.__new__(_VectorMultivector)
+        mv = object.__new__(Multivector)
         object.__setattr__(mv, "sig", sig)
         object.__setattr__(mv, "field", "complex" if v.dtype.kind == "c" else "real")
         object.__setattr__(mv, "_vector", v)
@@ -480,11 +546,25 @@ class Multivector:
         is_complex = v.dtype.kind == "c"
         if field is None:
             field = "complex" if is_complex else "real"
-        elif field == "real" and is_complex:
+        _check_field(field)
+        if field == "real" and is_complex:
             raise InvalidInput("complex coefficients for a real multivector")
         return Multivector._of_vector(sig, v.astype(np.complex128) if field == "complex" and not is_complex else v)
 
     # -- inspection ---------------------------------------------------------
+
+    @property
+    def terms(self) -> dict:
+        """The nonzero terms, mask to coefficient, built from the vector on first read."""
+        try:
+            return self._terms
+        except AttributeError:
+            pass
+        v = self._vector
+        nz = np.flatnonzero(v)
+        terms = dict(zip(nz.tolist(), v[nz].tolist()))
+        object.__setattr__(self, "_terms", terms)
+        return terms
 
     def coefficient(self, mask: int):
         return self.terms.get(mask, 0j if self.field == "complex" else 0.0)
@@ -520,7 +600,10 @@ class Multivector:
         return v
 
     def _term_count(self) -> int:
-        return len(self.terms)
+        try:
+            return len(self._terms)
+        except AttributeError:
+            return int(np.count_nonzero(self._vector))
 
     # -- field handling -----------------------------------------------------
 
@@ -564,6 +647,9 @@ class Multivector:
         scale = _number(other)
         if scale is None:
             return NotImplemented
+        finite_real = self.field == "real" and isinstance(scale, float) and math.isfinite(scale)
+        if finite_real and not hasattr(self, "_terms"):  # only the vector is held: scale it
+            return Multivector._of_vector(self.sig, self._vector * scale)
         field = "complex" if isinstance(scale, complex) else self.field
         return Multivector(self.sig, {m: c * scale for m, c in self.terms.items()}, field)
 
@@ -588,6 +674,9 @@ class Multivector:
 
     def _negated_where(self, residues: tuple) -> "Multivector":
         """The terms negated where the grade mod 4 is one of residues: the involutions' one rule."""
+        if not hasattr(self, "_terms"):  # only the vector is held: map it
+            v = self._vector
+            return Multivector._of_vector(self.sig, np.where(_grade_flips(self.sig.n, residues), -v, v))
         terms = {m: (-c if (_grade(m) & 3) in residues else c) for m, c in self.terms.items()}
         return Multivector(self.sig, terms, self.field)
 
@@ -606,7 +695,7 @@ class Multivector:
     def _blade_name(mask: int) -> str:
         if mask == 0:
             return "1"
-        idx = [i + 1 for i in range(MAX_GENERATORS) if mask >> i & 1]
+        idx = blade_indices(mask)
         if all(i <= 9 for i in idx):
             return "e" + "".join(str(i) for i in idx)
         return "e(" + ",".join(str(i) for i in idx) + ")"
@@ -615,7 +704,7 @@ class Multivector:
         if not self.terms:
             return "0"
         bits = []
-        for mask in sorted(self.terms, key=lambda m: (_grade(m), m)):
+        for mask in blade_order(self.terms):
             c = self.terms[mask]
             name = self._blade_name(mask)
             if mask == 0:
@@ -629,9 +718,6 @@ class Multivector:
         return " + ".join(bits).replace("+ -", "- ")
 
 
-_TERMS_SLOT = Multivector.__dict__["terms"]
-
-
 @lru_cache(maxsize=None)
 def _grade_flips(n: int, residues: tuple) -> np.ndarray:
     """Read-only mask of the blades whose grade mod 4 is one of residues."""
@@ -640,59 +726,12 @@ def _grade_flips(n: int, residues: tuple) -> np.ndarray:
     return flips
 
 
-class _VectorMultivector(Multivector):
-    """A Multivector built from its coefficient vector; `terms` is built on first read.
-
-    Multivector's instances read `terms` straight from its slot.  Here
-    _negated_where, the rule of the three involutions, and a finite real scale
-    of a real element, the maps between a versor's products, read the vector
-    and return vector-built results; each negates or multiplies the same floats
-    in the same way as the term-by-term method, so the results are the same bit
-    for bit.
-    """
-
-    __slots__ = ()
-
-    def _negated_where(self, residues: tuple) -> "Multivector":
-        v = self._vector
-        return Multivector._of_vector(self.sig, np.where(_grade_flips(self.sig.n, residues), -v, v))
-
-    def __mul__(self, other):
-        scale = None if isinstance(other, Multivector) else _number(other)
-        if self.field == "real" and isinstance(scale, float) and math.isfinite(scale):
-            return Multivector._of_vector(self.sig, self._vector * scale)
-        return Multivector.__mul__(self, other)
-
-    @property
-    def terms(self) -> dict:
-        try:
-            return _TERMS_SLOT.__get__(self)
-        except AttributeError:
-            pass
-        v = self._vector
-        nz = np.flatnonzero(v)
-        terms = dict(zip(nz.tolist(), v[nz].tolist()))
-        _TERMS_SLOT.__set__(self, terms)
-        return terms
-
-    def _term_count(self) -> int:
-        return int(np.count_nonzero(self._vector))
-
-
 # -- spec-level operations ----------------------------------------------------
 
 
 def basis_blade(sig: Signature, indices: Iterable[int]) -> Multivector:
     """Unit blade e^{i1...ik} from strictly ascending generator indices; [] gives 1."""
-    idx = [_integer(i, "generator indices") for i in indices]
-    if any(not 1 <= i <= sig.n for i in idx):
-        raise InvalidInput(f"indices {idx} outside 1..{sig.n}")
-    if any(b <= a for a, b in zip(idx, idx[1:])):
-        raise InvalidInput(f"indices {idx} not strictly ascending")
-    mask = 0
-    for i in idx:
-        mask |= 1 << (i - 1)
-    return Multivector(sig, {mask: 1.0})
+    return Multivector(sig, {blade_mask(indices, sig.n): 1.0})
 
 
 def linear_combine(pairs: Iterable[tuple]) -> Multivector:

@@ -20,7 +20,14 @@ from itertools import combinations
 import numpy as np
 
 from . import io as sio
-from .algebra import Multivector, Signature, basis_blade, geometric_product, geometric_product_contracted
+from .algebra import (
+    Multivector,
+    Signature,
+    basis_blade,
+    blade_mask,
+    geometric_product,
+    geometric_product_contracted,
+)
 from .errors import CliffordError, InvalidInput, ReconstructionFailed
 from .groups import membership, metric_matrix, rotor_exp, versor_to_matrix
 from .m8 import SURVIVING_GRADES, classify_m8, fierz_identity_residual
@@ -187,7 +194,7 @@ def _suite_volume(trials: int, rng, tol: float) -> float:
         k = int(rng.integers(0, sig.n + 1))
         terms = {}
         for idx in combinations(range(1, sig.n + 1), k):
-            terms[sum(1 << (i - 1) for i in idx)] = rng.normal()
+            terms[blade_mask(idx, sig.n)] = rng.normal()
         alpha = Multivector(sig, terms)
         tau = volume_form(sig).tau
         # the oracle's expansion of a k-form times tau has one nonzero term, its order-k wedge
@@ -246,7 +253,7 @@ def _suite_groups(trials: int, rng, tol: float) -> float:
         terms = {}
         for i in range(1, 4):
             for j in range(i + 1, 4):
-                terms[(1 << (i - 1)) | (1 << (j - 1))] = rng.normal()
+                terms[blade_mask((i, j), 3)] = rng.normal()
         R = rotor_exp(Multivector(sig, terms))
         M = versor_to_matrix(R)
         worst = _worse(worst, float(np.abs(M.T @ G @ M - G).max()))

@@ -11,14 +11,10 @@ import cmath
 
 import numpy as np
 
-from .algebra import Multivector, Signature
+from .algebra import Multivector, Signature, blade_indices, blade_mask, blade_order
 from .errors import InvalidInput
 from .m8 import FluxData
 from .minkowski import BilinearSet, DiracSpinor
-
-
-def _mask_to_indices(mask: int) -> list:
-    return [i + 1 for i in range(16) if mask >> i & 1]
 
 
 def _is_int(x) -> bool:
@@ -37,20 +33,11 @@ def _ints(values, what: str) -> list:
     return values
 
 
-def _indices_to_mask(indices, n: int) -> int:
-    idx = _ints(indices, "blade indices")
-    if any(not 1 <= i <= n for i in idx):
-        raise InvalidInput(f"indices {idx} outside 1..{n}")
-    if sorted(set(idx)) != idx:
-        raise InvalidInput(f"indices {idx} not strictly ascending")
-    return sum(1 << (i - 1) for i in idx)
-
-
 def multivector_to_json(mv: Multivector) -> dict:
     terms = []
-    for mask in sorted(mv.terms, key=lambda m: (bin(m).count("1"), m)):
+    for mask in blade_order(mv.terms):
         c = mv.terms[mask]  # a float's .real is the float itself: the document shares it
-        entry = {"indices": _mask_to_indices(mask), "re": c.real}
+        entry = {"indices": blade_indices(mask), "re": c.real}
         if mv.field == "complex":
             entry["im"] = c.imag
         terms.append(entry)
@@ -75,10 +62,10 @@ def multivector_from_json(doc: dict, sig: Signature | None = None) -> Multivecto
         raise InvalidInput("multivector terms must be a list of objects")
     terms = {}
     for entry in raw_terms:
-        mask = _indices_to_mask(entry.get("indices", []), parsed.n)
+        mask = blade_mask(_ints(entry.get("indices", []), "blade indices"), parsed.n)
         re, im = _floats([entry.get("re", 0.0), entry.get("im", 0.0)], "a coefficient")
         if not cmath.isfinite(complex(re, im)):
-            raise InvalidInput(f"non-finite coefficient on blade {_mask_to_indices(mask)}")
+            raise InvalidInput(f"non-finite coefficient on blade {blade_indices(mask)}")
         if field == "real":
             if im:
                 raise InvalidInput("real multivector with imaginary part")

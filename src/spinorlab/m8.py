@@ -15,7 +15,16 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .algebra import Multivector, Signature, _check_tol, _dense_contract, permutation_sign
+from .algebra import (
+    _REALS,
+    Multivector,
+    Signature,
+    _check_tol,
+    _dense_contract,
+    _numbers,
+    blade_mask,
+    permutation_sign,
+)
 from .errors import InvalidInput, UnsupportedSignature
 from .matrices import builtin_gammas
 from .structure import hodge
@@ -33,7 +42,7 @@ _SURVIVING_STARTS = np.cumsum([0] + [len(_GRADE_MASKS[k]) for k in SURVIVING_GRA
 # 70 ascending four-form indices, kappa.
 _FOUR_FORMS = list(combinations(range(1, 9), 4))
 _FLUX_MASKS = np.array(
-    [1 << m for m in range(8)] + [sum(1 << (i - 1) for i in idx) for idx in _FOUR_FORMS] + [0xFF]
+    [blade_mask(idx, 8) for idx in [(m,) for m in range(1, 9)] + _FOUR_FORMS + [range(1, 9)]]
 )
 # Each parameter enters Q divided by its divisor: dDelta_m / 2, -F_idx / 12 and -kappa.
 _FLUX_DIVISORS = np.array([2.0] * 8 + [-12.0] * len(_FOUR_FORMS) + [-1.0])
@@ -49,9 +58,19 @@ def chirality() -> np.ndarray:
     return CL8.chirality
 
 
+def _real_array(x):
+    """x as a float array when numpy reads it as bools, integers or floats, else None;
+    the dtype numpy computes anyway decides, so no entry is looked at."""
+    try:
+        v = np.asarray(x)
+    except ValueError:  # ragged nesting
+        return None
+    return v.astype(float, copy=False) if v.dtype.kind in "biuf" else None
+
+
 def _as_spinor(x) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.shape != (DIM,):
+    v = _real_array(x)
+    if v is None or v.shape != (DIM,):
         raise InvalidInput(f"Majorana spinor must have {DIM} real components")
     if not np.isfinite(v).all():
         raise InvalidInput("non-finite spinor component")
@@ -193,19 +212,26 @@ class FluxData:
     kappa: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "f", tuple(float(v) for v in self.f))
-        object.__setattr__(self, "dDelta", tuple(float(v) for v in self.dDelta))
+        for name in ("f", "dDelta"):
+            values = _numbers(getattr(self, name), "f and dDelta must hold real numbers", _REALS)
+            object.__setattr__(self, name, tuple(map(float, values)))
+        if not isinstance(self.kappa, _REALS):
+            raise InvalidInput("kappa must be a real number")
         object.__setattr__(self, "kappa", float(self.kappa))
         if len(self.f) != 8 or len(self.dDelta) != 8:
             raise InvalidInput("f and dDelta carry 8 components")
         if not all(math.isfinite(v) for v in (*self.f, *self.dDelta, self.kappa)):
             raise InvalidInput("non-finite f, dDelta or kappa")
+        if not isinstance(self.F, dict):
+            raise InvalidInput("F must be a dict from ascending index 4-tuples to real numbers")
         clean = {}
         for key, val in self.F.items():
             # one lookup accepts a key equal to an ascending tuple (ints, numpy ints, 1.0)
             idx = _FOUR_FORM_KEYS.get(key)
             if idx is None:
                 raise _bad_four_form_key(key)
+            if not isinstance(val, _REALS):
+                raise InvalidInput(f"4-form coefficient at {idx} must be a real number")
             val = float(val)
             if not math.isfinite(val):
                 raise InvalidInput(f"non-finite 4-form coefficient at {idx}")
@@ -240,10 +266,15 @@ def _bad_four_form_key(key) -> InvalidInput:
 
 
 def flux_from_tensor(F4: np.ndarray, **kwargs) -> FluxData:
-    """Build FluxData from a rank-4 coefficient tensor, checking antisymmetry."""
-    F4 = np.asarray(F4, dtype=float)
-    if F4.shape != (8, 8, 8, 8):
-        raise InvalidInput("F tensor must be 8^4")
+    """Build FluxData from a rank-4 coefficient tensor, checking antisymmetry;
+    kwargs are FluxData's other fields."""
+    F4 = _real_array(F4)
+    if F4 is None or F4.shape != (8, 8, 8, 8):
+        raise InvalidInput("F tensor must be 8^4 real numbers")
+    if not np.isfinite(F4).all():
+        raise InvalidInput("non-finite entry in the F tensor")
+    if "F" in kwargs:
+        raise InvalidInput("flux_from_tensor reads F from the tensor")
     coeffs = {}
     for idx in combinations(range(8), 4):
         coeffs[tuple(i + 1 for i in idx)] = float(F4[idx])
@@ -288,10 +319,9 @@ def build_constraint_operator(flux: FluxData) -> ConstraintOperator:
 
 def _as_operator(Q) -> np.ndarray:
     """Q as a 2-D float array; InvalidInput for a complex, non-numeric or non-finite one."""
-    Q = np.asarray(Q)
-    if Q.dtype.kind not in "biuf" or Q.ndim != 2:
+    Q = _real_array(Q)
+    if Q is None or Q.ndim != 2:
         raise InvalidInput("the constraint operator must be a real matrix")
-    Q = Q.astype(float, copy=False)
     if not np.isfinite(Q).all():
         raise InvalidInput("non-finite entry in the constraint operator")
     return Q

@@ -21,6 +21,7 @@ from .algebra import (
     Signature,
     _check_tol,
     blade_images,
+    blade_order,
     stack_products,
 )
 from .errors import InvalidInput, SignatureMismatch, UnsupportedDivisionRing
@@ -139,11 +140,13 @@ class RepBundle:
 
         The product runs over the whole stack in place, never over a copy of the
         listed blades, and the listed rows are taken from it as a C-contiguous
-        array.  Every built-in blade matrix is monomial, so each entry is one
+        array.  A block that is not C-contiguous is copied to C order first: the
+        product with an F-ordered block leaves numpy's fast path and takes twice
+        as long.  Every built-in blade matrix is monomial, so each entry is one
         product plus exact zeros and has the bits of multiplying a copy.
         """
         rows = self.blades.reshape(-1, self.dim)
-        out = _matvec(rows, y) if y.ndim == 1 else rows @ y
+        out = _matvec(rows, y) if y.ndim == 1 else rows @ np.ascontiguousarray(y)
         out = out.reshape((len(self.blades), self.dim) + y.shape[1:])
         return np.ascontiguousarray(out[masks]).reshape((-1,) + out.shape[1:])
 
@@ -324,8 +327,7 @@ class IdempotentRep:
 @lru_cache(maxsize=None)
 def _scan_order(n: int) -> np.ndarray:
     """The 2^n blade masks in (grade, mask) order, read-only."""
-    masks = np.arange(1 << n)
-    order = masks[np.lexsort((masks, np.bitwise_count(masks)))]
+    order = np.array(blade_order(range(1 << n)))
     order.flags.writeable = False
     return order
 

@@ -21,7 +21,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Multivector, Signature, _check_tol, _dense_contract, blade_images, permutation_sign
+from .algebra import (
+    _REALS,
+    Multivector,
+    Signature,
+    _check_tol,
+    _dense_contract,
+    _numbers,
+    blade_images,
+    blade_mask,
+    permutation_sign,
+)
 from .errors import InconsistentBilinears, InvalidInput, ReconstructionFailed
 from .matrices import RepBundle, builtin_gammas, similarity_matrix
 
@@ -33,7 +43,7 @@ _RAISE = (1.0, -1.0, -1.0, -1.0)
 # covariants' positions in probe order: sigma, J_0..3, S (S_PAIRS), K_0..3, omega.
 _TAU_MASK = 0b1111
 _VECTORS = np.array([1 << m for m in range(4)])
-_BIVECTORS = np.array([(1 << m) | (1 << n) for m, n in S_PAIRS])
+_BIVECTORS = np.array([blade_mask((m + 1, n + 1), 4) for m, n in S_PAIRS])
 _S_WEIGHTS = np.array([2.0 * _RAISE[m] * _RAISE[n] for m, n in S_PAIRS])
 _SIGMA, _J, _S, _K, _OMEGA = 0, np.arange(1, 5), np.arange(5, 11), np.arange(11, 15), 15
 # The flat (5, 16) slot, covariant and weight of each entry of the form rows: J^mu,
@@ -84,10 +94,10 @@ def _bundle(rep: str) -> RepBundle:
 class DiracSpinor:
     """Four complex components in the "weyl" or "dirac" representation.
 
-    Equality and hashing read the two fields.  Besides them an instance keeps,
-    each a cached property built on first use, its read-only component vector
-    (vector) and its one bilinear pass (_bilinears), which every call of
-    bilinears reads and holds to its own tol.
+    Equality and hashing read the two fields.  Besides them an instance keeps
+    its read-only component vector (vector), from which the components are
+    read, and, a cached property built on first use, its one bilinear pass
+    (_bilinears), which every call of bilinears reads and holds to its own tol.
     """
 
     rep: str
@@ -96,19 +106,21 @@ class DiracSpinor:
     def __post_init__(self):
         if self.rep not in _BUNDLES:
             raise InvalidInput(f"unknown representation {self.rep!r}")
-        comps = tuple(map(complex, self.components))
-        if len(comps) != 4:
+        try:  # numpy types the copy once: its dtype decides, with no per-entry scan
+            v = np.array(self.components)
+        except ValueError:  # ragged nesting
+            v = np.array(None)
+        if v.dtype.kind not in "biufc" or v.ndim != 1:
+            raise InvalidInput("spinor components must be numbers")
+        if len(v) != 4:
             raise InvalidInput("a Dirac spinor has 4 components")
+        v = v.astype(complex, copy=False)
+        comps = tuple(v.tolist())
         if not all(map(cmath.isfinite, comps)):
             raise InvalidInput("non-finite spinor component")
-        object.__setattr__(self, "components", comps)
-
-    @cached_property
-    def vector(self) -> np.ndarray:
-        """The components as a read-only complex array."""
-        v = np.array(self.components, dtype=complex)
         v.flags.writeable = False
-        return v
+        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "vector", v)
 
     @cached_property
     def _bilinears(self) -> "_BilinearPass":
@@ -129,8 +141,11 @@ class BilinearSet:
     omega: float
 
     def __post_init__(self):
+        if not (isinstance(self.sigma, _REALS) and isinstance(self.omega, _REALS)):
+            raise InvalidInput("sigma and omega must be real numbers")
         sigma, omega = float(self.sigma), float(self.omega)
-        J, S, K = tuple(map(float, self.J)), tuple(map(float, self.S)), tuple(map(float, self.K))
+        J, S, K = (tuple(map(float, _numbers(block, "bilinear blocks must hold real numbers", _REALS)))
+                   for block in (self.J, self.S, self.K))
         if len(J) != 4 or len(K) != 4 or len(S) != 6:
             raise InvalidInput("bilinear blocks must have sizes 4/6/4")
         if not all(map(math.isfinite, (sigma, omega, *J, *S, *K))):
@@ -256,9 +271,9 @@ def bilinears_closed_form(psi: DiracSpinor) -> BilinearSet:
 
 def bilinears_as_forms(B: BilinearSet) -> tuple:
     """(sigma, J, S, K, omega-form) with the covariant components on the blades."""
-    J = Multivector(SIG13, {1 << m: B.J[m] for m in range(4)})
-    S = Multivector(SIG13, {(1 << m) | (1 << n): B.S[i] for i, (m, n) in enumerate(S_PAIRS)})
-    K = Multivector(SIG13, {1 << m: B.K[m] for m in range(4)})
+    J = Multivector(SIG13, dict(zip(_VECTORS.tolist(), B.J)))
+    S = Multivector(SIG13, dict(zip(_BIVECTORS.tolist(), B.S)))
+    K = Multivector(SIG13, dict(zip(_VECTORS.tolist(), B.K)))
     omega_form = Multivector(SIG13, {_TAU_MASK: B.omega})
     return B.sigma, J, S, K, omega_form
 
@@ -479,7 +494,7 @@ def classify_lounesto(psi: DiracSpinor, tol: float = 1e-9):
 def change_representation(psi: DiracSpinor) -> DiracSpinor:
     """Apply the self-inverse Weyl<->Dirac matrix and flip the tag."""
     out = _SIMILARITY @ psi.vector
-    return DiracSpinor("dirac" if psi.rep == "weyl" else "weyl", tuple(out.tolist()))
+    return DiracSpinor("dirac" if psi.rep == "weyl" else "weyl", out)
 
 
 # -- inversion -------------------------------------------------------------------
@@ -512,6 +527,8 @@ def reconstruct(B: BilinearSet, eta: DiracSpinor | None = None, rep: str = "weyl
     """
     _check_tol(tol)
     if eta is not None:
+        if not isinstance(eta, DiracSpinor):
+            raise InvalidInput("eta must be a DiracSpinor")
         rep = eta.rep
     _, Z = _aggregate(B, rep)
     scale = max(1.0, float(np.abs(Z).max()))
@@ -535,4 +552,4 @@ def reconstruct(B: BilinearSet, eta: DiracSpinor | None = None, rep: str = "weyl
             raise ReconstructionFailed("radicand collapsed to zero")
     N = 0.5 * math.sqrt(best_raw.real)
     psi = (Z @ best) / (4.0 * N)
-    return DiracSpinor(rep, tuple(psi.tolist())), N
+    return DiracSpinor(rep, psi), N

@@ -1,6 +1,8 @@
 """Blade arithmetic: constructors, products, involutions, norms, and the
 algebraic laws they must satisfy."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,9 @@ from spinorlab.algebra import (
     Signature,
     approx_equal,
     basis_blade,
+    blade_indices,
+    blade_mask,
+    blade_order,
     contracted_wedge,
     frame_contraction,
     geometric_product,
@@ -57,12 +62,27 @@ class TestConstructors:
         assert top.terms == {0b1111: 1.0}
 
     def test_blade_rejects_bad_indices(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=r"^indices \[1, 1\] not strictly ascending$"):
             basis_blade(S30, [1, 1])
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=r"^indices \[2, 1\] not strictly ascending$"):
             basis_blade(S30, [2, 1])
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=r"^indices \[4\] outside 1..3$"):
             basis_blade(S30, [4])
+        with pytest.raises(InvalidInput, match=r"^indices \[0, 2\] outside 1..3$"):
+            basis_blade(S30, [0, 2])
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_blade_vocabulary_round_trips(self, n):
+        """blade_indices inverts blade_mask on every mask, and blade_order is the
+        (popcount, mask) sort whatever order the masks come in."""
+        masks = np.arange(1 << n)
+        for m in masks.tolist():
+            idx = blade_indices(m)
+            assert idx == sorted(idx) and len(idx) == bin(m).count("1")
+            assert blade_mask(idx, n) == m and blade_mask(tuple(idx), n) == m
+        want = masks[np.lexsort((masks, np.bitwise_count(masks)))].tolist()
+        assert blade_order(masks.tolist()) == want
+        assert blade_order(np.random.default_rng(n).permutation(masks).tolist()) == want
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, "3", None], ids=repr)
     def test_masks_and_indices_must_be_integers(self, bad):
@@ -116,6 +136,43 @@ def test_scalar_operands_on_either_side(s):
     for got, want in cases:
         assert isinstance(got, Multivector) and got.field == field
         assert got == Multivector(S30, want, field)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Multivector(S30, {0: 1j}), "complex coefficients for a real multivector"),
+        (lambda: Multivector(S30, {0: np.complex128(1 + 2j)}), "complex coefficients for a real multivector"),
+        (lambda: Multivector(S30, {0: 2 + 0j}), "complex coefficients for a real multivector"),
+        (lambda: Multivector(S30, {0: np.complex64(2)}), "complex coefficients for a real multivector"),
+        (lambda: Multivector.from_vector(S30, np.ones(8) * 1j, "real"), "complex coefficients for a real multivector"),
+        (lambda: Multivector(S30, {0: 1.0}, "banana"), "unknown field tag 'banana'"),
+        (lambda: Multivector.from_vector(S30, np.ones(8), "banana"), "unknown field tag 'banana'"),
+        (lambda: Multivector.from_vector(S30, np.ones(8), 5), "unknown field tag 5"),
+        (lambda: Multivector(S30, {0: "1"}), "coefficients must be Python or numpy numbers, got '1'"),
+        (lambda: Multivector(S30, {0: None}), "coefficients must be Python or numpy numbers, got None"),
+        (lambda: Multivector(S30, {0: [1.0]}), r"coefficients must be Python or numpy numbers, got \[1.0\]"),
+        (lambda: Multivector(S30, {0: "1"}, "complex"), "coefficients must be Python or numpy numbers"),
+        (lambda: Multivector(S30, [(0, 1.0)]), "terms must be a dict from blade mask to coefficient"),
+    ],
+    ids=["complex", "numpy-complex", "zero-imag", "numpy-zero-imag", "vector-complex", "field", "vector-field", "vector-field-int",
+         "string", "none", "list", "complex-string", "pairs"],
+)
+def test_constructors_follow_one_rule(call, message):
+    with pytest.raises(InvalidInput, match=message):
+        call()
+
+
+def test_constructors_accept_what_number_accepts():
+    """Python and numpy numbers and bools for a real multivector; a complex field
+    keeps a signed-zero imaginary part."""
+    mv = Multivector(S30, {0: 1, 1: True, 2: np.float32(0.5), 3: np.int64(-2), 4: np.True_, 5: math.nan})
+    assert repr(list(mv.terms.items())) == "[(0, 1.0), (1, 1.0), (2, 0.5), (3, -2.0), (4, 1.0), (5, nan)]"
+    assert all(type(c) is float for c in mv.terms.values())
+    assert Multivector(S30, {0: np.False_}).terms == {}
+    cplx = Multivector(S30, {0: complex(1.0, -0.0), 1: np.complex64(1j), 2: 3, 3: np.True_}, "complex")
+    assert repr(list(cplx.terms.items())) == "[(0, (1-0j)), (1, 1j), (2, (3+0j)), (3, (1+0j))]"
+    assert Multivector.scalar(S30, np.True_) == Multivector.scalar(S30, True)
 
 
 def test_non_numbers_are_not_scalars():

@@ -148,6 +148,26 @@ def test_act_on_a_block_repeats_the_single_calls(rep, kind):
 
 
 @pytest.mark.parametrize("rep", STACKED_BUNDLES)
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_act_reads_any_block_layout_with_the_same_bits(rep, kind):
+    """F-ordered blocks, transposed views and strided columns give the bits of the
+    C-ordered block: act copies a block that is not C-contiguous to C order."""
+    rng = np.random.default_rng(55)
+    for k in (1, 2, 5):
+        rows = rng.normal(size=(k, rep.dim)) * 10.0 ** rng.integers(-150, 150, size=(k, rep.dim))
+        if kind == "complex":
+            rows = rows + 1j * rng.normal(size=rows.shape)
+        block = np.ascontiguousarray(rows.T)
+        wide = np.zeros((rep.dim, 2 * k), rows.dtype)
+        wide[:, ::2] = block
+        for masks in (slice(None), np.array([3, 0, 1, 3])):
+            want = rep.act(block, masks).tobytes()
+            for layout in (np.asfortranarray(block), rows.T, wide[:, ::2]):
+                assert not layout.flags.c_contiguous or k == 1
+                assert rep.act(layout, masks).tobytes() == want, (k, masks)
+
+
+@pytest.mark.parametrize("rep", STACKED_BUNDLES)
 def test_act_in_place_has_the_bits_of_the_copied_blades(rep):
     """act multiplies the whole stack in place and selects the listed rows; act and
     pairings keep the bits of multiplying a copy of the listed blades, for index

@@ -99,6 +99,17 @@ class TestProduct:
         code, out, err = run("product", "--sig", "2,0", fa, fb)
         assert code == 1 and out == "" and err.startswith("clif: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "indices, message",
+        [([3], "indices [3] outside 1..2"), ([0, 1], "indices [0, 1] outside 1..2"),
+         ([2, 1], "indices [2, 1] not strictly ascending"), ([1, 1], "indices [1, 1] not strictly ascending")],
+    )
+    def test_bad_blade_indices_exit_1(self, run, tmp_path, indices, message):
+        fa = write_json(tmp_path / "a.json", {"p": 2, "q": 0, "terms": [{"indices": indices, "re": 1.0}]})
+        fb = write_json(tmp_path / "b.json", {"p": 2, "q": 0, "terms": [{"indices": [2], "re": 1.0}]})
+        code, out, err = run("product", "--sig", "2,0", fa, fb)
+        assert (code, out, err) == (1, "", f"clif: {message}\n")
+
     def test_signature_mismatch_exits_1(self, run, tmp_path):
         fa = write_json(tmp_path / "a.json", GOLDEN_A)
         fb = write_json(tmp_path / "b.json", GOLDEN_B)

@@ -608,3 +608,45 @@ class TestFluxFTerm:
         ).Q
         assert np.abs(Q - f_only - sym_part).max() <= 1e-14
         assert np.abs(sym_part - sym_part.T).max() == 0.0
+
+
+_SPINOR = np.eye(16)[0]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FluxData(f=("a",) * 8), "f and dDelta must hold real numbers"),
+        (lambda: FluxData(f=("1",) * 8), "f and dDelta must hold real numbers"),
+        (lambda: FluxData(dDelta=5), "f and dDelta must hold real numbers"),
+        (lambda: FluxData(kappa="1"), "kappa must be a real number"),
+        (lambda: FluxData(F=[1, 2]), "F must be a dict"),
+        (lambda: FluxData(F={(1, 2, 3, 4): "1"}), r"4-form coefficient at \(1, 2, 3, 4\) must be a real number"),
+        (lambda: classify_m8(["a"] * 16, _SPINOR), "Majorana spinor must have 16 real components"),
+        (lambda: classify_m8(["1"] * 16, _SPINOR), "Majorana spinor must have 16 real components"),
+        (lambda: pairing(_SPINOR, [1.0] * 15 + [[1.0]]), "Majorana spinor must have 16 real components"),
+        (lambda: pairing(_SPINOR, _SPINOR * 1j), "Majorana spinor must have 16 real components"),
+        (lambda: fierz_identity_residual(["1"] * 16, _SPINOR, _SPINOR, _SPINOR), "Majorana spinor must have 16"),
+        (lambda: flux_from_tensor(np.zeros((8, 8, 8, 8)), F={}), "flux_from_tensor reads F from the tensor"),
+        (lambda: flux_from_tensor(np.full((8, 8, 8, 8), np.nan)), "non-finite entry in the F tensor"),
+        (lambda: flux_from_tensor(np.full((8, 8, 8, 8), "a")), r"F tensor must be 8\^4 real numbers"),
+        (lambda: kernel([[1.0, 2.0], [3.0]]), "the constraint operator must be a real matrix"),
+    ],
+    ids=["f-letters", "f-strings", "dDelta-int", "kappa-string", "F-list", "F-string-value", "classify-letters",
+         "classify-strings", "pairing-ragged", "pairing-complex", "fierz-strings", "tensor-and-F", "tensor-nan",
+         "tensor-strings", "ragged-Q"],
+)
+def test_value_types_take_numbers_only(call, message):
+    with pytest.raises(InvalidInput, match=message):
+        call()
+
+
+def test_numeric_inputs_pass_as_before():
+    flux = FluxData(f=np.arange(8), F={(1, 2, 3, 4): np.float32(0.5), (1, 2, 3, 5): True}, dDelta=[0] * 8,
+                    kappa=np.int64(2))
+    assert flux.f == tuple(map(float, range(8))) and flux.kappa == 2.0
+    assert flux.F == {(1, 2, 3, 4): 0.5, (1, 2, 3, 5): 1.0}
+    assert pairing(np.arange(16), np.ones(16, dtype=np.int32)) == 120.0
+    assert pairing([True] + [0] * 15, _SPINOR) == 1.0
+    bools = FluxData(f=np.ones(8, bool), F={(1, 2, 3, 4): np.True_}, kappa=np.False_)
+    assert bools.f == (1.0,) * 8 and bools.F == {(1, 2, 3, 4): 1.0} and bools.kappa == 0.0

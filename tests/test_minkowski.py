@@ -624,3 +624,42 @@ def test_tolerance_must_be_positive_and_finite(call, tol):
     # boomerang flag); -1 reported "bilinears not real (imag 0.00e+00)"
     with pytest.raises(InvalidInput, match="tolerance must be a positive finite number"):
         call(DiracSpinor("weyl", (1, 0, 1 + 1j, 0)), tol)
+
+
+_FOUR = (1.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DiracSpinor("weyl", ["a"] * 4), "spinor components must be numbers"),
+        (lambda: DiracSpinor("weyl", [[1, 2]] * 4), "spinor components must be numbers"),
+        (lambda: DiracSpinor("weyl", 5), "spinor components must be numbers"),
+        (lambda: DiracSpinor("weyl", ["1", "0", "0", "0"]), "spinor components must be numbers"),
+        (lambda: BilinearSet("x", _FOUR, (0.0,) * 6, _FOUR, 0.0), "sigma and omega must be real numbers"),
+        (lambda: BilinearSet(1j, _FOUR, (0.0,) * 6, _FOUR, 0.0), "sigma and omega must be real numbers"),
+        (lambda: BilinearSet(1.0, 1.0, (0.0,) * 6, _FOUR, 0.0), "bilinear blocks must hold real numbers"),
+        (lambda: reconstruct(bilinears(DiracSpinor("weyl", _FOUR)), eta="x"), "eta must be a DiracSpinor"),
+    ],
+    ids=["letters", "pairs", "int", "strings", "sigma-string", "sigma-complex", "scalar-J", "eta-string"],
+)
+def test_value_types_take_numbers_only(call, message):
+    with pytest.raises(InvalidInput, match=message):
+        call()
+
+
+def test_value_types_keep_their_numbers():
+    """numpy numbers, ints and bools pass as before, and a complex component keeps
+    a signed-zero imaginary part."""
+    psi = DiracSpinor("weyl", np.array([1.0, -0.0, 2j, complex(3.0, -0.0)]))
+    assert repr(psi.components) == "((1+0j), (-0+0j), 2j, (3-0j))"
+    assert DiracSpinor("weyl", [1, True, np.float32(0.5), np.int64(2)]).components == (1, 1, 0.5, 2)
+    assert DiracSpinor("weyl", np.array([1, 0, 1, 0], bool)).components == (1, 0, 1, 0)
+    caller = np.array([1.0, 2.0, 3.0, 4.0])
+    psi = DiracSpinor("dirac", caller)
+    caller[0] = 9.0  # the spinor keeps a copy; the caller's array stays writeable
+    assert psi.components == (1, 2, 3, 4) and psi.vector.tolist() == [1, 2, 3, 4]
+    assert not psi.vector.flags.writeable and psi.vector.dtype == complex
+    B = BilinearSet(np.float64(1.0), [1, 0, 0, 0], np.zeros(6), (np.int32(1), 0.0, 0.0, 0.0), False)
+    assert B.sigma == 1.0 and B.J == _FOUR and B.K == _FOUR and B.omega == 0.0
+    assert all(type(x) is float for x in (B.sigma, B.omega, *B.J, *B.S, *B.K))
